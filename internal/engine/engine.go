@@ -319,3 +319,35 @@ func Build(spec Spec) [][]record.ID {
 	}
 	return out
 }
+
+// ParallelChunks splits [0,n) into up to `workers` contiguous chunks and
+// runs fn on each concurrently, returning when all chunks finish. It is the
+// one worker-pool shape every per-record batch stage uses — signing in
+// lsh.Blocker.Block, staging and band signing in internal/stream, the
+// canonical merge in internal/server.
+func ParallelChunks(n, workers int, fn func(lo, hi int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for w := 0; w < workers; w++ {
+		lo, hi := w*chunk, (w+1)*chunk
+		if hi > n {
+			hi = n
+		}
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, hi)
+	}
+	wg.Wait()
+}

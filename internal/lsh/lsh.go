@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"semblock/internal/blocking"
 	"semblock/internal/engine"
@@ -151,47 +152,58 @@ func (b *Blocker) Name() string {
 // Config returns the blocker's configuration.
 func (b *Blocker) Config() Config { return b.cfg }
 
-// Block groups the dataset into blocks. Runtime is O(n · k · l) hash work
-// plus bucket bookkeeping; both the signature computation and the l table
-// builds run on worker pools (the latter through internal/engine, capped by
-// Config.Workers). Returns *SparseIDError if the dataset's record IDs are
-// not dense 0..n-1.
+// Block groups the dataset into blocks. Records are staged and their active
+// bands signed on a worker pool, each worker signing into its own k·l
+// scratch and keeping only the l band keys per record; the l table builds
+// then run through internal/engine (both pools capped by Config.Workers).
+// Band keys are laid out table-major — keys[t·n+i] — so a table build scans
+// its n keys sequentially. Returns *SparseIDError if the dataset's record
+// IDs are not dense 0..n-1.
 func (b *Blocker) Block(d *record.Dataset) (*blocking.Result, error) {
-	sigs, err := b.signer.SignDataset(d)
-	if err != nil {
+	if err := ValidateDenseIDs(d); err != nil {
 		return nil, err
 	}
-
-	var semSigs []semantic.BitVec
-	if b.cfg.Semantic != nil {
-		semSigs = b.cfg.Semantic.Schema.SignatureMatrix(d)
+	s, n := b.signer, d.Len()
+	keys := make([]uint64, b.cfg.L*n)
+	sems := make([]semantic.BitVec, n)
+	workers := b.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	engine.ParallelChunks(n, workers, func(lo, hi int) {
+		sig := make([]uint64, b.cfg.K*b.cfg.L)
+		var hashes, semArena []uint64
+		for i := lo; i < hi; i++ {
+			r := d.Record(record.ID(i))
+			hashes = s.AppendKeyHashes(r, hashes[:0])
+			sems[i], semArena = s.AppendSemSign(r, semArena)
+			st := Stage{hashes: hashes, sem: sems[i]}
+			s.BandKeys(&st, s.all, sig, keys[i:], n)
+		}
+	})
 
 	postFilter := b.cfg.Semantic != nil &&
 		b.cfg.Semantic.Mode == ModeOR && b.cfg.Semantic.ORStrategy == PostFilter
 	spec := engine.Spec{
 		Tables:  b.cfg.L,
-		Records: d.Len(),
+		Records: n,
 		Workers: b.cfg.Workers,
 		Keys: func(table int, id record.ID, dst []uint64) []uint64 {
+			key := keys[table*n+int(id)]
 			if postFilter {
 				// Bucket on the minhash band alone; semantic splitting
 				// happens once the table's buckets are complete.
-				return append(dst, minhash.BandKey(table, b.signer.Band(table, sigs[id])))
+				return append(dst, key)
 			}
-			var sem semantic.BitVec
-			if semSigs != nil {
-				sem = semSigs[id]
-			}
-			return b.signer.BucketKeys(table, sigs[id], sem, dst)
+			return s.FanOut(table, key, sems[id], dst)
 		},
 	}
 	if postFilter {
 		spec.Finish = func(table int, t *engine.Table) [][]record.ID {
-			bits := b.signer.TableBits(table)
+			bits := s.TableBits(table)
 			var out [][]record.ID
 			t.Buckets(func(_ uint64, ids []record.ID) {
-				out = append(out, SplitByBits(ids, semSigs, bits)...)
+				out = append(out, SplitByBits(ids, sems, bits)...)
 			})
 			return out
 		}

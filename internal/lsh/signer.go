@@ -2,8 +2,6 @@ package lsh
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"semblock/internal/minhash"
 	"semblock/internal/record"
@@ -12,24 +10,28 @@ import (
 )
 
 // Signer computes the per-record signature material of an (SA-)LSH
-// configuration: the k·l-component minhash signature, the semhash signature
-// (for SA-LSH), and the w semantic-bit choices of every hash table. It is
-// the stateless core shared by the batch Blocker and the streaming Indexer
-// (internal/stream): both paths derive bucket membership exclusively from a
-// Signer, which is what guarantees that a streamed index snapshot and a
-// batch Block run over the same records produce the same blocks.
+// configuration and is the stateless core shared by the batch Blocker and
+// the streaming Indexer (internal/stream): both derive bucket membership
+// exclusively from a Signer, which is what guarantees that a streamed index
+// snapshot and a batch Block run over the same records produce the same
+// blocks.
 //
-// Signing is interned: a record's q-grams are streamed straight out of the
+// There is one signing flow. Stage a record (StageAppend: q-gram base
+// hashes + semhash, the table-independent half), then sign only the bands
+// of tables that are active for it — the ones its semhash lets it enter at
+// all (§5.2) — and keep one band key per table (BandKeys); BucketKeys /
+// FanOut turn a band key into the table's bucket keys. The contract that
+// makes the laziness safe: an inactive band is never written and never
+// read, so signature and key buffers may be reused dirty.
+//
+// Staging is interned: a record's q-grams are streamed straight out of the
 // normalised blocking key (textual.VisitQGrams) into base hashes
-// (minhash.BaseHash) — no gram strings and no gram slice are materialised —
-// and the scratch hash buffers are pooled across records, so a steady-state
-// Sign costs one normalised-key allocation plus the returned signature.
+// (minhash.BaseHash) — no gram strings and no gram slice are materialised.
 type Signer struct {
 	cfg  Config
 	fam  *minhash.Family
 	bits [][]int // per-table semantic bit choices; nil without Semantic
-
-	hashPool sync.Pool // *[]uint64 scratch buffers for shingle base hashes
+	all  []int   // 0..l-1, what a nil table list stands for
 }
 
 // NewSigner validates the configuration and precomputes the per-table
@@ -52,7 +54,10 @@ func NewSigner(cfg Config) (*Signer, error) {
 			return nil, fmt.Errorf("lsh: w must be in [1,%d], got %d", s.Schema.Bits(), s.W)
 		}
 	}
-	s := &Signer{cfg: cfg, fam: minhash.NewFamily(cfg.K*cfg.L, cfg.Seed)}
+	s := &Signer{cfg: cfg, fam: minhash.NewFamily(cfg.K*cfg.L, cfg.Seed), all: make([]int, cfg.L)}
+	for t := range s.all {
+		s.all[t] = t
+	}
 	if sem := cfg.Semantic; sem != nil {
 		s.bits = make([][]int, cfg.L)
 		for t := 0; t < cfg.L; t++ {
@@ -72,24 +77,9 @@ func (s *Signer) Config() Config { return s.cfg }
 // Semantic reports whether the signer is configured for SA-LSH.
 func (s *Signer) Semantic() bool { return s.cfg.Semantic != nil }
 
-// getHashes hands out a pooled scratch buffer for shingle base hashes;
-// putHashes returns it. Pooling keeps steady-state signing free of scratch
-// allocations no matter how many goroutines sign concurrently.
-func (s *Signer) getHashes() []uint64 {
-	if p, ok := s.hashPool.Get().(*[]uint64); ok {
-		return (*p)[:0]
-	}
-	return make([]uint64, 0, 128)
-}
-
-func (s *Signer) putHashes(h []uint64) {
-	s.hashPool.Put(&h)
-}
-
 // AppendKeyHashes appends the base hashes of the record's q-gram shingles
-// to dst and returns the extended slice — the interned form of
-// minhash.ShingleHashes(textual.QGrams(key, q)): grams are hashed as views
-// into the normalised key, never materialised as strings.
+// to dst and returns the extended slice: grams are hashed as views into the
+// normalised key, never materialised as strings.
 func (s *Signer) AppendKeyHashes(r *record.Record, dst []uint64) []uint64 {
 	textual.VisitQGrams(r.Key(s.cfg.Attrs...), s.cfg.Q, func(g string) {
 		dst = append(dst, minhash.BaseHash(g))
@@ -97,71 +87,23 @@ func (s *Signer) AppendKeyHashes(r *record.Record, dst []uint64) []uint64 {
 	return dst
 }
 
-// Sign computes the k·l-component minhash signature of one record.
-func (s *Signer) Sign(r *record.Record) []uint64 {
-	sig := make([]uint64, s.fam.Size())
-	s.SignInto(r, sig)
-	return sig
-}
-
-// SignInto computes the signature into sig, which must have length
-// fam.Size() — the buffer-reusing form of Sign.
-func (s *Signer) SignInto(r *record.Record, sig []uint64) {
-	hashes := s.AppendKeyHashes(r, s.getHashes())
-	s.fam.SignatureFromHashesInto(hashes, sig)
-	s.putHashes(hashes)
-}
-
-// TableComponents returns the signature-component indices the given tables
-// consume — the k-component band of each — for use with SignComponents.
-func (s *Signer) TableComponents(tables []int) []int {
-	out := make([]int, 0, len(tables)*s.cfg.K)
-	for _, t := range tables {
-		for j := 0; j < s.cfg.K; j++ {
-			out = append(out, t*s.cfg.K+j)
-		}
+// AppendSemSign computes the record's semhash signature with its words
+// appended to arena; both are returned. Without a semantic option it
+// returns the zero BitVec (which callers must not inspect) and the arena
+// untouched, so batch paths can call it unconditionally.
+func (s *Signer) AppendSemSign(r *record.Record, arena []uint64) (semantic.BitVec, []uint64) {
+	if s.cfg.Semantic == nil {
+		return semantic.BitVec{}, arena
 	}
-	return out
+	return s.cfg.Semantic.Schema.AppendSignature(r, arena)
 }
 
-// SignComponents computes only the given signature components (from
-// TableComponents) of one record, leaving every other component at the
-// empty-set sentinel. The result has Sign's k·l layout, so Band and
-// BucketKeys work unchanged for the covered tables — reading any other
-// table's band is invalid. Table-subset indexers (stream.WithTables) use
-// this to pay only their share of the minhash work: a family of shards
-// partitioning the tables collectively performs the same hashing as one
-// full signer.
-func (s *Signer) SignComponents(r *record.Record, components []int) []uint64 {
-	sig := make([]uint64, s.fam.Size())
-	s.SignComponentsInto(r, components, sig)
-	return sig
-}
-
-// SignComponentsInto computes the given components (all of them when
-// components is nil) into a caller-owned buffer of length fam.Size() — the
-// arena-backed form batch insertion uses to sign a whole mini-batch into one
-// backing array.
-func (s *Signer) SignComponentsInto(r *record.Record, components []int, sig []uint64) {
-	hashes := s.AppendKeyHashes(r, s.getHashes())
-	if components == nil {
-		s.fam.SignatureFromHashesInto(hashes, sig)
-	} else {
-		s.fam.SignatureSubsetFromHashesInto(hashes, components, sig)
-	}
-	s.putHashes(hashes)
-}
-
-// Stage is the shard-independent half of one record's signature work: the
-// base hashes of its q-gram shingles plus its semhash signature. Computing a
-// record's Stage is the expensive, table-count-independent part of signing —
-// attribute concatenation, q-gram extraction, string hashing, and the
-// taxonomy walk behind the semhash — so a Stage computed once can be shared
-// by any number of table-subset indexers, each deriving only its own minhash
-// components via SignStaged. stream.SharedLog.Append computes one Stage per
-// appended record — hash storage carved from a per-batch arena via
-// StageAppend — and hands the staged batch to every attached shard; the
-// stages are per-batch hand-offs, not retained state.
+// Stage is the table-independent half of one record's signature work: the
+// base hashes of its q-gram shingles plus its semhash signature — attribute
+// concatenation, q-gram extraction, string hashing and the taxonomy walk.
+// A Stage computed once serves any number of table-subset indexers, each
+// signing only its own active bands from it. Stages are per-batch
+// hand-offs, not retained state.
 type Stage struct {
 	hashes []uint64 // base hashes of the record's q-grams
 	sem    semantic.BitVec
@@ -171,22 +113,13 @@ type Stage struct {
 // semantic option; callers must not inspect it then).
 func (st *Stage) Sem() semantic.BitVec { return st.sem }
 
-// Stage computes the shard-independent signature stage of one record:
-// q-gram shingling of the blocking key, the shingles' base hashes, and the
-// semhash signature. SignStaged consumes the result.
-func (s *Signer) Stage(r *record.Record) *Stage {
-	st, _ := s.StageAppend(r, nil)
-	return &st
-}
-
 // StageAppend computes a record's signature stage, storing the hash
 // material — and, for SA-LSH, the semhash signature's words — by appending
 // to arena, and returns the stage plus the extended arena. Batch staging
-// (stream.SharedLog.Append) threads one growing arena through a whole
-// mini-batch, so staging n records costs O(log n) allocations instead of
-// one hash buffer plus one semhash vector per record; a stage's views stay
-// valid even when a later append reallocates the arena (the abandoned
-// backing array is untouched).
+// threads one growing arena through a whole mini-batch, so staging n
+// records costs O(log n) allocations instead of one hash buffer plus one
+// semhash vector per record; a stage's views stay valid even when a later
+// append reallocates the arena (the abandoned backing array is untouched).
 //
 //semblock:hotpath
 func (s *Signer) StageAppend(r *record.Record, arena []uint64) (Stage, []uint64) {
@@ -198,109 +131,66 @@ func (s *Signer) StageAppend(r *record.Record, arena []uint64) (Stage, []uint64)
 	return Stage{hashes: hashes, sem: sem}, arena
 }
 
-// SignStaged derives minhash signature components from a precomputed Stage:
-// all k·l components when components is nil (equal to Sign), or only the
-// given TableComponents subset (equal to SignComponents, every other
-// component left at the empty-set sentinel). Staging and signing compose to
-// exactly the unstaged results, so staged and unstaged records may be mixed
-// freely in one index.
-func (s *Signer) SignStaged(st *Stage, components []int) []uint64 {
-	sig := make([]uint64, s.fam.Size())
-	s.SignStagedInto(st, components, sig)
-	return sig
-}
-
-// SignStagedInto is SignStaged into a caller-owned buffer of length
-// fam.Size(), for arena-backed batch signing (stream.Indexer.InsertStaged
-// carves all of a batch's signatures from one backing array).
+// active reports whether a record with semhash sem can file under any key
+// of the table, i.e. whether its band is worth signing: always for plain
+// LSH and for the PostFilter OR strategy (which buckets on the band alone
+// and splits afterwards); iff all w selected bits are set for AND; iff any
+// selected bit is set for bucket-per-bit OR.
 //
 //semblock:hotpath
-func (s *Signer) SignStagedInto(st *Stage, components []int, sig []uint64) {
-	if components == nil {
-		s.fam.SignatureFromHashesInto(st.hashes, sig)
-	} else {
-		s.fam.SignatureSubsetFromHashesInto(st.hashes, components, sig)
+func (s *Signer) active(table int, sem semantic.BitVec) bool {
+	opt := s.cfg.Semantic
+	switch {
+	case opt == nil:
+		return true
+	case opt.Mode == ModeAND:
+		return allBitsSet(sem, s.bits[table])
+	case opt.ORStrategy == PostFilter:
+		return true
 	}
-}
-
-// SemSign computes the semhash signature of one record. Without a semantic
-// option it returns the zero BitVec, which callers must not inspect.
-func (s *Signer) SemSign(r *record.Record) semantic.BitVec {
-	if s.cfg.Semantic == nil {
-		return semantic.BitVec{}
-	}
-	return s.cfg.Semantic.Schema.Signature(r)
-}
-
-// AppendSemSign is the arena-backed form of SemSign: the signature's words
-// are appended to arena and both are returned. Without a semantic option it
-// returns the zero BitVec and the arena untouched, so batch paths can call
-// it unconditionally.
-func (s *Signer) AppendSemSign(r *record.Record, arena []uint64) (semantic.BitVec, []uint64) {
-	if s.cfg.Semantic == nil {
-		return semantic.BitVec{}, arena
-	}
-	return s.cfg.Semantic.Schema.AppendSignature(r, arena)
-}
-
-// SignDataset computes the minhash signatures of every record in parallel,
-// indexed by record ID. All n signatures are carved from one backing array,
-// so the signature stage of a batch build costs O(1) allocations per worker
-// instead of O(n). The indexing relies on record IDs being dense 0..n-1
-// (the invariant Dataset.Append maintains); a dataset violating it yields a
-// *SparseIDError instead of silently mis-assigning signatures.
-func (s *Signer) SignDataset(d *record.Dataset) ([][]uint64, error) {
-	if err := ValidateDenseIDs(d); err != nil {
-		return nil, err
-	}
-	n := d.Len()
-	sigs := make([][]uint64, n)
-	if n == 0 {
-		return sigs, nil
-	}
-	size := s.fam.Size()
-	backing := make([]uint64, n*size)
-	for i := 0; i < n; i++ {
-		sigs[i] = backing[i*size : (i+1)*size : (i+1)*size]
-	}
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	for _, bit := range s.bits[table] {
+		if sem.Get(bit) {
+			return true
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			hashes := make([]uint64, 0, 128)
-			for i := lo; i < hi; i++ {
-				hashes = s.AppendKeyHashes(d.Record(record.ID(i)), hashes[:0])
-				s.fam.SignatureFromHashesInto(hashes, sigs[i])
-			}
-		}(lo, hi)
 	}
-	wg.Wait()
-	return sigs, nil
+	return false
 }
 
-// Band returns the k-slice of a full signature belonging to one hash table.
-func (s *Signer) Band(table int, sig []uint64) []uint64 {
-	return sig[table*s.cfg.K : (table+1)*s.cfg.K]
+// SignStagedInto signs the staged record's active bands of the given tables
+// (nil = all l) into sig, which has the k·l signature layout: table t's band
+// is sig[t·k:(t+1)·k]. Bands of other tables, and of tables the record's
+// semhash keeps it out of, are not written — cost is proportional to the
+// bands that can produce a bucket. Only BucketKeys may read the result.
+//
+//semblock:hotpath
+func (s *Signer) SignStagedInto(st *Stage, tables []int, sig []uint64) {
+	if tables == nil {
+		tables = s.all
+	}
+	s.BandKeys(st, tables, sig, nil, 0)
+}
+
+// BandKeys signs the staged record's active bands of the given tables into
+// the k·l scratch sig and, unless keys is nil, stores table tables[j]'s band
+// key at keys[j·stride]; slots of inactive tables are left untouched (FanOut
+// never reads them). It returns the number of bands signed. The stride lets
+// batch Block lay keys out table-major (stride n) and the stream paths
+// record-major (stride 1) through the same routine.
+//
+//semblock:hotpath
+func (s *Signer) BandKeys(st *Stage, tables []int, sig, keys []uint64, stride int) int {
+	k, signed := s.cfg.K, 0
+	for j, t := range tables {
+		if !s.active(t, st.sem) {
+			continue
+		}
+		s.fam.SignBand(st.hashes, t*k, (t+1)*k, sig)
+		if keys != nil {
+			keys[j*stride] = minhash.BandKey(t, sig[t*k:(t+1)*k])
+		}
+		signed++
+	}
+	return signed
 }
 
 // TableBits returns the semantic bit choice of one hash table (nil without
@@ -313,28 +203,42 @@ func (s *Signer) TableBits(table int) []int {
 }
 
 // BucketKeys appends to dst the bucket keys the record files under in one
-// hash table and returns the extended slice. The keying is the normalised
-// bucket-per-bit form: plain LSH yields the band key; AND mode yields the
-// band key iff all w selected semhash bits are set (nothing otherwise); OR
-// mode yields one mixed key per selected set bit. Two records collide in a
-// table iff they share a key, so this single method defines block
-// membership for both batch and streaming construction.
+// hash table and returns the extended slice; sig is a SignStagedInto result
+// covering the table. The semantic bits decide first: when the table is
+// inactive for sem no key is produced and the band is not read.
 //
 //semblock:hotpath
 func (s *Signer) BucketKeys(table int, sig []uint64, sem semantic.BitVec, dst []uint64) []uint64 {
-	key := minhash.BandKey(table, s.Band(table, sig))
+	if !s.active(table, sem) {
+		return dst
+	}
+	k := s.cfg.K
+	return s.FanOut(table, minhash.BandKey(table, sig[table*k:(table+1)*k]), sem, dst)
+}
+
+// FanOut appends the bucket keys a band key stands for in one table. The
+// keying is the normalised bucket-per-bit form: plain LSH yields the band
+// key; AND mode yields it iff all w selected semhash bits are set (nothing
+// otherwise); OR mode yields one mixed key per selected set bit. Two records
+// collide in a table iff they share a key, so this single method defines
+// block membership for both batch and streaming construction. bandKey is
+// only consulted when a key is produced, so the unwritten BandKeys slot of
+// an inactive table may be passed as is.
+//
+//semblock:hotpath
+func (s *Signer) FanOut(table int, bandKey uint64, sem semantic.BitVec, dst []uint64) []uint64 {
 	opt := s.cfg.Semantic
 	switch {
 	case opt == nil:
-		dst = append(dst, key)
+		dst = append(dst, bandKey)
 	case opt.Mode == ModeAND:
 		if allBitsSet(sem, s.bits[table]) {
-			dst = append(dst, key)
+			dst = append(dst, bandKey)
 		}
 	default: // ModeOR: one sub-bucket per selected set bit
 		for _, bit := range s.bits[table] {
 			if sem.Get(bit) {
-				dst = append(dst, mixBit(key, bit))
+				dst = append(dst, mixBit(bandKey, bit))
 			}
 		}
 	}

@@ -1,18 +1,22 @@
 package lsh
 
 import (
+	"slices"
 	"testing"
 
 	"semblock/internal/datagen"
+	"semblock/internal/minhash"
+	"semblock/internal/record"
 	"semblock/internal/semantic"
 	"semblock/internal/taxonomy"
+	"semblock/internal/textual"
 )
 
-// TestStageEquivalence checks that the staged signature path (one Stage per
-// record, then SignStaged per table subset) reproduces the unstaged
-// Sign/SignComponents/SemSign results exactly, so shared-log indexers block
-// identically to per-shard staging.
-func TestStageEquivalence(t *testing.T) {
+// coraSigners builds one signer per semantic configuration over a small
+// Cora sample: plain LSH, AND, OR bucket-per-bit, OR post-filter, and OR
+// with one global bit choice.
+func coraSigners(t *testing.T) (*record.Dataset, *semantic.Schema, map[string]*Signer) {
+	t.Helper()
 	cfg := datagen.DefaultCoraConfig()
 	cfg.Records = 60
 	d := datagen.Cora(cfg)
@@ -24,35 +28,139 @@ func TestStageEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	signer, err := NewSigner(Config{
-		Attrs: []string{"authors", "title"}, Q: 3, K: 3, L: 8, Seed: 11,
-		Semantic: &SemanticOption{Schema: schema, W: 3, Mode: ModeOR},
-	})
-	if err != nil {
-		t.Fatal(err)
+	signers := make(map[string]*Signer)
+	for name, opt := range map[string]*SemanticOption{
+		"lsh":               nil,
+		"and":               {Schema: schema, W: 2, Mode: ModeAND},
+		"or-bucket-per-bit": {Schema: schema, W: 3, Mode: ModeOR},
+		"or-post-filter":    {Schema: schema, W: 3, Mode: ModeOR, ORStrategy: PostFilter},
+		"or-global-bits":    {Schema: schema, W: 3, Mode: ModeOR, GlobalBits: true},
+	} {
+		s, err := NewSigner(Config{Attrs: []string{"authors", "title"}, Q: 3, K: 3, L: 8, Seed: 11, Semantic: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		signers[name] = s
 	}
+	return d, schema, signers
+}
 
-	tables := []int{1, 4, 7}
-	components := signer.TableComponents(tables)
-	for _, r := range d.Records() {
-		st := signer.Stage(r)
-		full := signer.Sign(r)
-		staged := signer.SignStaged(st, nil)
-		for i := range full {
-			if staged[i] != full[i] {
-				t.Fatalf("record %d: staged full component %d = %d, direct %d", r.ID, i, staged[i], full[i])
+// naiveBucketKeys is the reference keying, written the way the code read
+// before band signing became lazy: the full k·l signature straight from the
+// q-gram strings, the band hashed unconditionally, the semantic bits
+// consulted last.
+func naiveBucketKeys(s *Signer, schema *semantic.Schema, r *record.Record, table int) []uint64 {
+	cfg := s.Config()
+	sig := minhash.NewFamily(cfg.K*cfg.L, cfg.Seed).Signature(textual.QGrams(r.Key(cfg.Attrs...), cfg.Q))
+	key := minhash.BandKey(table, sig[table*cfg.K:(table+1)*cfg.K])
+	if cfg.Semantic == nil {
+		return []uint64{key}
+	}
+	sem := schema.Signature(r)
+	var out []uint64
+	if cfg.Semantic.Mode == ModeAND {
+		if allBitsSet(sem, s.TableBits(table)) {
+			out = append(out, key)
+		}
+		return out
+	}
+	for _, bit := range s.TableBits(table) {
+		if sem.Get(bit) {
+			out = append(out, mixBit(key, bit))
+		}
+	}
+	return out
+}
+
+// TestStageEquivalence checks that the staged flow — one Stage per record,
+// then active bands signed per table subset, then band keys fanned out —
+// yields exactly the reference bucket keys for every table, whichever way it
+// is driven: the whole signature at once, a table subset, or BandKeys +
+// FanOut at either stride. Shared-log shards therefore block identically to
+// one unrestricted signer.
+func TestStageEquivalence(t *testing.T) {
+	d, schema, signers := coraSigners(t)
+	for name, signer := range signers {
+		cfg := signer.Config()
+		size := cfg.K * cfg.L
+		subset := []int{1, 4, 7}
+		for _, r := range d.Records() {
+			st, _ := signer.StageAppend(r, nil)
+			if cfg.Semantic != nil {
+				if got, want := st.Sem(), schema.Signature(r); got.String() != want.String() {
+					t.Fatalf("%s record %d: staged semhash %s, direct %s", name, r.ID, got, want)
+				}
+			}
+			full, sub := make([]uint64, size), make([]uint64, size)
+			signer.SignStagedInto(&st, nil, full)
+			signer.SignStagedInto(&st, subset, sub)
+
+			const stride = 5
+			wide, dense := make([]uint64, cfg.L*stride), make([]uint64, len(subset))
+			signer.BandKeys(&st, signer.all, make([]uint64, size), wide, stride)
+			signer.BandKeys(&st, subset, make([]uint64, size), dense, 1)
+
+			for table := 0; table < cfg.L; table++ {
+				want := naiveBucketKeys(signer, schema, r, table)
+				if got := signer.BucketKeys(table, full, st.Sem(), nil); !slices.Equal(got, want) {
+					t.Fatalf("%s record %d table %d: full-signature keys %v, want %v", name, r.ID, table, got, want)
+				}
+				if got := signer.FanOut(table, wide[table*stride], st.Sem(), nil); !slices.Equal(got, want) {
+					t.Fatalf("%s record %d table %d: strided band-key fan-out %v, want %v", name, r.ID, table, got, want)
+				}
+			}
+			for j, table := range subset {
+				want := naiveBucketKeys(signer, schema, r, table)
+				if got := signer.BucketKeys(table, sub, st.Sem(), nil); !slices.Equal(got, want) {
+					t.Fatalf("%s record %d table %d: subset-signature keys %v, want %v", name, r.ID, table, got, want)
+				}
+				if got := signer.FanOut(table, dense[j], st.Sem(), nil); !slices.Equal(got, want) {
+					t.Fatalf("%s record %d table %d: dense band-key fan-out %v, want %v", name, r.ID, table, got, want)
+				}
 			}
 		}
-		sub := signer.SignComponents(r, components)
-		stagedSub := signer.SignStaged(st, components)
-		for _, i := range components {
-			if stagedSub[i] != sub[i] {
-				t.Fatalf("record %d: staged subset component %d = %d, direct %d", r.ID, i, stagedSub[i], sub[i])
+	}
+}
+
+// TestInactiveBandsNeverWrittenNorRead pins the contract that lets callers
+// reuse dirty buffers: signing leaves the bands of inactive tables exactly
+// as it found them, and BucketKeys produces the reference keys with every
+// one of those bands poisoned — it decides from the semantic bits before it
+// touches the band.
+func TestInactiveBandsNeverWrittenNorRead(t *testing.T) {
+	d, schema, signers := coraSigners(t)
+	for name, signer := range signers {
+		cfg := signer.Config()
+		inactive := 0
+		for _, r := range d.Records() {
+			st, _ := signer.StageAppend(r, nil)
+			sig := make([]uint64, cfg.K*cfg.L)
+			for i := range sig {
+				sig[i] = 0xc0ffee
+			}
+			signer.SignStagedInto(&st, nil, sig)
+			for table := 0; table < cfg.L; table++ {
+				band := sig[table*cfg.K : (table+1)*cfg.K]
+				if !signer.active(table, st.Sem()) {
+					inactive++
+					for j, v := range band {
+						if v != 0xc0ffee {
+							t.Fatalf("%s record %d: inactive table %d component %d was written", name, r.ID, table, j)
+						}
+						band[j] = 0xbadbadbad + uint64(j)
+					}
+				}
+				want := naiveBucketKeys(signer, schema, r, table)
+				if got := signer.BucketKeys(table, sig, st.Sem(), nil); !slices.Equal(got, want) {
+					t.Fatalf("%s record %d table %d: keys %v, want %v", name, r.ID, table, got, want)
+				}
 			}
 		}
-		got, want := st.Sem(), signer.SemSign(r)
-		if got.Len() != want.Len() || got.String() != want.String() {
-			t.Fatalf("record %d: staged semhash %s, SemSign %s", r.ID, got, want)
+		// The filtering configurations must actually exercise the skip.
+		filters := name == "and" || name == "or-bucket-per-bit" || name == "or-global-bits"
+		if filters != (inactive > 0) {
+			t.Errorf("%s: %d inactive (record, table) bands, want filtering=%v", name, inactive, filters)
 		}
+		t.Logf("%s: %d of %d bands inactive", name, inactive, d.Len()*cfg.L)
 	}
 }

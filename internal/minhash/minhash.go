@@ -56,8 +56,7 @@ func baseHash(gram string) uint64 {
 
 // BaseHash exposes the shingle base hash (FNV-64a) for callers that stream
 // grams through textual.VisitQGrams instead of materialising a gram slice —
-// the interned-hashing fast path of lsh.Signer. BaseHash(g) equals the
-// value ShingleHashes records for g.
+// the interned-hashing fast path of lsh.Signer. SignBand consumes these.
 func BaseHash(gram string) uint64 { return baseHash(gram) }
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
@@ -86,100 +85,54 @@ func (f *Family) Signature(grams []string) []uint64 {
 }
 
 // SignatureInto computes the signature into the provided slice, which must
-// have length Size().
-//
-//semblock:hotpath
+// have length Size(): SignBand over every component of the grams' base
+// hashes.
 func (f *Family) SignatureInto(grams []string, sig []uint64) {
-	for i := range sig {
-		sig[i] = emptyMin
-	}
-	for _, g := range grams {
-		b := baseHash(g)
-		for i, s := range f.seeds {
-			if h := splitmix64(b ^ s); h < sig[i] {
-				sig[i] = h
-			}
-		}
-	}
-}
-
-// ShingleHashes maps each shingle to its 64-bit base hash — the
-// family-independent half of signature computation (the string hashing; the
-// per-function seeded mixing is the family-dependent half). A hash slice
-// computed once can feed SignatureFromHashesInto and
-// SignatureSubsetFromHashesInto any number of times, which is how the
-// shared-log serving layer (internal/stream.SharedLog) hashes each record's
-// q-grams exactly once while every table shard derives only its own
-// signature components from them.
-//
-//semblock:hotpath
-func ShingleHashes(grams []string) []uint64 {
 	hashes := make([]uint64, len(grams))
 	for i, g := range grams {
 		hashes[i] = baseHash(g)
 	}
-	return hashes
+	f.SignBand(hashes, 0, len(f.seeds), sig)
 }
 
-// SignatureFromHashesInto computes the signature from precomputed shingle
-// base hashes (ShingleHashes) into sig, which must have length Size(). It is
-// equivalent to SignatureInto over the shingles the hashes came from.
+// SignBand computes signature components [lo,hi) from precomputed shingle
+// base hashes (BaseHash of every shingle) into sig[lo:hi]; nothing outside
+// that range is written or read. It is the package's one min-over-seeds
+// loop: a full signature is SignBand(hashes, 0, Size(), sig), a hash
+// table's band is SignBand(hashes, t·k, (t+1)·k, sig), and because every
+// component depends only on its own seed the two agree component for
+// component. An empty hash set yields the empty-set sentinel.
+//
+// The loop is component-major: seeds are taken four at a time and the
+// hashes streamed past them, so the four running minima live in registers
+// for the whole pass — the min builtin compiles to a conditional move, and
+// there is neither a load/store of sig[i] nor a data-dependent branch per
+// evaluation. (The shingle-major order it replaced re-read and re-wrote
+// every sig[i] once per shingle and mispredicted on each new minimum.) The
+// four chains are independent, which is what keeps the multiplier busy; a
+// scalar tail covers (hi-lo) mod 4.
 //
 //semblock:hotpath
-func (f *Family) SignatureFromHashesInto(hashes []uint64, sig []uint64) {
-	for i := range sig {
-		sig[i] = emptyMin
-	}
-	for _, b := range hashes {
-		for i, s := range f.seeds {
-			if h := splitmix64(b ^ s); h < sig[i] {
-				sig[i] = h
-			}
+func (f *Family) SignBand(hashes []uint64, lo, hi int, sig []uint64) {
+	seeds, out := f.seeds[lo:hi], sig[lo:hi]
+	i := 0
+	for ; i+4 <= len(seeds); i += 4 {
+		s0, s1, s2, s3 := seeds[i], seeds[i+1], seeds[i+2], seeds[i+3]
+		m0, m1, m2, m3 := emptyMin, emptyMin, emptyMin, emptyMin
+		for _, b := range hashes {
+			m0 = min(m0, splitmix64(b^s0))
+			m1 = min(m1, splitmix64(b^s1))
+			m2 = min(m2, splitmix64(b^s2))
+			m3 = min(m3, splitmix64(b^s3))
 		}
+		out[i], out[i+1], out[i+2], out[i+3] = m0, m1, m2, m3
 	}
-}
-
-// SignatureSubsetFromHashesInto computes only the selected signature
-// components from precomputed shingle base hashes into sig (length Size());
-// unselected components are left at the empty-set sentinel and must not be
-// read. Selected components equal the corresponding components of a full
-// SignatureInto run over the originating shingles.
-//
-//semblock:hotpath
-func (f *Family) SignatureSubsetFromHashesInto(hashes []uint64, components []int, sig []uint64) {
-	for i := range sig {
-		sig[i] = emptyMin
-	}
-	for _, b := range hashes {
-		for _, i := range components {
-			if h := splitmix64(b ^ f.seeds[i]); h < sig[i] {
-				sig[i] = h
-			}
+	for ; i < len(seeds); i++ {
+		s, m := seeds[i], emptyMin
+		for _, b := range hashes {
+			m = min(m, splitmix64(b^s))
 		}
-	}
-}
-
-// SignatureSubsetInto computes only the selected signature components
-// (indices into the family) into sig, which must have length Size();
-// every other component is left at the empty-set sentinel and must not be
-// read. Selected components equal the corresponding components of a full
-// SignatureInto run, so partial and full signatures are interchangeable
-// wherever only the selected components are consumed — the property the
-// table-sharded serving layer relies on. Cost is proportional to
-// len(grams)·len(components) instead of len(grams)·Size().
-//
-//semblock:hotpath
-func (f *Family) SignatureSubsetInto(grams []string, components []int, sig []uint64) {
-	for i := range sig {
-		sig[i] = emptyMin
-	}
-	for _, g := range grams {
-		b := baseHash(g)
-		for _, i := range components {
-			if h := splitmix64(b ^ f.seeds[i]); h < sig[i] {
-				sig[i] = h
-			}
-		}
+		out[i] = m
 	}
 }
 

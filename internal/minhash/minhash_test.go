@@ -120,98 +120,61 @@ func TestBandKey(t *testing.T) {
 	}
 }
 
-func BenchmarkSignature36(b *testing.B) {
-	f := NewFamily(36, 1)
-	grams := textual.QGrams("the cascade-correlation learning architecture fahlman lebiere", 2)
-	sig := make([]uint64, 36)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.SignatureInto(grams, sig)
-	}
-}
-
-func BenchmarkSignature252(b *testing.B) {
-	f := NewFamily(252, 1)
-	grams := textual.QGrams("the cascade-correlation learning architecture fahlman lebiere", 4)
-	sig := make([]uint64, 252)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		f.SignatureInto(grams, sig)
-	}
-}
-
-// TestSignatureSubsetInto checks that a partial signature equals the full
-// signature on the selected components and the sentinel elsewhere — the
-// interchangeability property table-sharded indexing relies on.
+// TestSignatureSubsetInto checks that signing a component range equals the
+// full signature on that range and leaves everything outside it untouched —
+// the interchangeability property band-at-a-time signing relies on.
 func TestSignatureSubsetInto(t *testing.T) {
 	f := NewFamily(24, 42)
 	grams := textual.QGrams("cascade correlation learning", 2)
 	full := f.Signature(grams)
+	hashes := baseHashes(grams)
 
-	components := []int{2, 3, 10, 11, 22, 23}
-	selected := make(map[int]bool)
-	for _, c := range components {
-		selected[c] = true
-	}
-	sub := make([]uint64, f.Size())
-	f.SignatureSubsetInto(grams, components, sub)
-	for i := range sub {
-		switch {
-		case selected[i] && sub[i] != full[i]:
-			t.Errorf("component %d: subset %d, full %d", i, sub[i], full[i])
-		case !selected[i] && sub[i] != emptyMin:
-			t.Errorf("unselected component %d not at sentinel: %d", i, sub[i])
+	const canary = 0xdeadbeef
+	for _, r := range [][2]int{{2, 4}, {10, 19}, {22, 24}, {0, 24}, {7, 7}} {
+		sub := make([]uint64, f.Size())
+		for i := range sub {
+			sub[i] = canary
+		}
+		f.SignBand(hashes, r[0], r[1], sub)
+		for i := range sub {
+			switch in := i >= r[0] && i < r[1]; {
+			case in && sub[i] != full[i]:
+				t.Errorf("range %v component %d: band %d, full %d", r, i, sub[i], full[i])
+			case !in && sub[i] != canary:
+				t.Errorf("range %v wrote component %d outside it", r, i)
+			}
 		}
 	}
 
-	// Empty shingle set: every component at the sentinel.
-	f.SignatureSubsetInto(nil, components, sub)
-	for i := range sub {
+	// Empty shingle set: every signed component at the sentinel.
+	sub := make([]uint64, f.Size())
+	f.SignBand(nil, 3, 12, sub)
+	for i := 3; i < 12; i++ {
 		if sub[i] != emptyMin {
 			t.Errorf("empty-set component %d = %d, want sentinel", i, sub[i])
 		}
 	}
 }
 
-// TestSignatureFromHashes checks the staged two-step form (ShingleHashes
-// once, then full or subset mixing) reproduces the direct computations
-// exactly — the property the shared-log serving layer relies on to hash each
-// record's shingles once for all table shards.
+// TestSignatureFromHashes checks the staged two-step form (base hashes once,
+// then SignBand per band) reproduces the direct computation exactly — the
+// property the shared-log serving layer relies on to hash each record's
+// shingles once for all table shards.
 func TestSignatureFromHashes(t *testing.T) {
 	f := NewFamily(24, 42)
 	grams := textual.QGrams("cascade correlation learning", 2)
 	full := f.Signature(grams)
-	hashes := ShingleHashes(grams)
+	hashes := baseHashes(grams)
 
-	staged := make([]uint64, f.Size())
-	f.SignatureFromHashesInto(hashes, staged)
-	for i := range staged {
-		if staged[i] != full[i] {
-			t.Errorf("staged component %d = %d, direct %d", i, staged[i], full[i])
+	for _, k := range []int{1, 2, 3, 4, 6, 8, 12, 24} {
+		staged := make([]uint64, f.Size())
+		for lo := 0; lo < f.Size(); lo += k {
+			f.SignBand(hashes, lo, lo+k, staged)
 		}
-	}
-
-	components := []int{0, 1, 9, 17, 23}
-	selected := make(map[int]bool)
-	for _, c := range components {
-		selected[c] = true
-	}
-	sub := make([]uint64, f.Size())
-	f.SignatureSubsetFromHashesInto(hashes, components, sub)
-	for i := range sub {
-		switch {
-		case selected[i] && sub[i] != full[i]:
-			t.Errorf("staged subset component %d = %d, direct %d", i, sub[i], full[i])
-		case !selected[i] && sub[i] != emptyMin:
-			t.Errorf("unselected staged component %d not at sentinel: %d", i, sub[i])
-		}
-	}
-
-	// Empty shingle set stays at the sentinel through the staged path too.
-	f.SignatureFromHashesInto(ShingleHashes(nil), staged)
-	for i := range staged {
-		if staged[i] != emptyMin {
-			t.Errorf("empty-set staged component %d = %d, want sentinel", i, staged[i])
+		for i := range staged {
+			if staged[i] != full[i] {
+				t.Errorf("k=%d: banded component %d = %d, direct %d", k, i, staged[i], full[i])
+			}
 		}
 	}
 }

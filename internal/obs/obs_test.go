@@ -266,3 +266,17 @@ func fmtSscanLast(line string, v *int64) (int, error) {
 	fields := strings.Fields(line)
 	return 1, json.Unmarshal([]byte(fields[len(fields)-1]), v)
 }
+
+func TestCounterNilNoop(t *testing.T) {
+	var nilCounter *Counter
+	nilCounter.Add(3)
+	if got := nilCounter.Load(); got != 0 {
+		t.Errorf("nil counter Load = %d, want 0", got)
+	}
+	var c Counter
+	c.Add(2)
+	c.Add(5)
+	if got := c.Load(); got != 7 {
+		t.Errorf("Load = %d, want 7", got)
+	}
+}

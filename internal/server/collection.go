@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"semblock/internal/blocking"
+	"semblock/internal/engine"
 	"semblock/internal/er"
 	"semblock/internal/lsh"
 	"semblock/internal/metablocking"
@@ -214,7 +215,7 @@ func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 	// across shards atomically. Only the final in-order queue append is
 	// sequential.
 	fresh := make([][]record.Pair, len(rows))
-	parallelChunks(len(rows), c.mergeWorkers(), func(lo, hi int) {
+	engine.ParallelChunks(len(rows), c.mergeWorkers(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var g []record.Pair
 			for si := range perShard {
@@ -247,35 +248,6 @@ func (c *Collection) mergeWorkers() int {
 		return c.spec.Workers
 	}
 	return runtime.NumCPU()
-}
-
-// parallelChunks splits [0,n) into up to `workers` contiguous chunks and
-// runs fn on each concurrently, returning when all chunks finish.
-func parallelChunks(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // replayRows rebuilds the hash tables from a persisted record batch

@@ -37,6 +37,12 @@ type metrics struct {
 
 	lastCompactionNanos atomic.Int64 // duration of the most recent compaction
 
+	// Semantic-filter veto rate: (record, table) bands the ingest path
+	// signed, and skipped because the record's semhash keeps it out of the
+	// table. Added to by every collection's shards (stream.SetBandCounters).
+	bandsSigned  obs.Counter // semblock_sign_bands_total
+	bandsSkipped obs.Counter // semblock_sign_bands_skipped_total
+
 	// Latency histograms (see metrics.init). httpDur and stageDur are
 	// labelled families; the rest are single series.
 	httpDur    *obs.DurationVec // semblock_http_request_duration_seconds{route,code}
@@ -78,6 +84,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 	fmt.Fprintf(w, "semblock_http_errors_total{code_class=\"5xx\"} %d\n", m.errors5xx.Load())
 	counter("semblock_ingested_records_total", "Records accepted across all collections.", m.ingestedRecords.Load())
 	counter("semblock_ingest_batches_total", "Ingest requests accepted.", m.ingestBatches.Load())
+	counter("semblock_sign_bands_total", "Minhash bands signed by ingest, one per (record, hash table) the record can enter.", m.bandsSigned.Load())
+	counter("semblock_sign_bands_skipped_total", "Minhash bands ingest did not sign because the record's semhash keeps it out of the table.", m.bandsSkipped.Load())
 	counter("semblock_drained_pairs_total", "Candidate pairs handed out by the incremental drain.", m.drainedPairs.Load())
 	counter("semblock_candidate_queries_total", "GET /candidates requests.", m.candidateQueries.Load())
 	counter("semblock_snapshot_queries_total", "GET /snapshot requests.", m.snapshotQueries.Load())

@@ -279,6 +279,8 @@ func TestMetricsExpositionLint(t *testing.T) {
 		{"semblock_webhook_failures_total", "counter"},
 		{"semblock_stream_consumers", "gauge"},
 		{"semblock_consumer_lag", "gauge"},
+		{"semblock_sign_bands_total", "counter"},
+		{"semblock_sign_bands_skipped_total", "counter"},
 	} {
 		f, ok := families[want.family]
 		if !ok {
@@ -307,5 +309,21 @@ func TestMetricsExpositionLint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	// The semantic filter's veto rate: every (record, table) band of the
+	// ingested batch was either signed or skipped, and w=3 OR over the Cora
+	// taxonomy skips some.
+	sample := func(name string) int {
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, _ := strconv.Atoi(v)
+				return n
+			}
+		}
+		return -1
+	}
+	signed, skipped := sample("semblock_sign_bands_total"), sample("semblock_sign_bands_skipped_total")
+	if bands := len(rows) * baseSpec("lint", 2).L; signed <= 0 || skipped <= 0 || signed+skipped != bands {
+		t.Errorf("signed %d + skipped %d bands, want both positive and %d in total", signed, skipped, bands)
 	}
 }

@@ -202,13 +202,20 @@ func New(opts ...Option) (*Server, error) {
 		if c.Name() != e.Name() {
 			return nil, fmt.Errorf("server: directory %s holds collection %q", e.Name(), c.Name())
 		}
-		c.log.SetStageHistogram(s.metrics.stagingDur)
+		s.observeIngest(c)
 		s.collections[c.Name()] = c
 		// Persisted webhook sinks resume delivery from their durable
 		// cursors as soon as the server is up.
 		s.startCollectionSinks(c)
 	}
 	return s, nil
+}
+
+// observeIngest points a collection's shared log at the server-wide ingest
+// metrics. Called before the collection is reachable by any request.
+func (s *Server) observeIngest(c *Collection) {
+	c.log.SetStageHistogram(s.metrics.stagingDur)
+	c.log.SetBandCounters(&s.metrics.bandsSigned, &s.metrics.bandsSkipped)
 }
 
 // Create registers a new collection. A spec without a shard count inherits
@@ -230,7 +237,7 @@ func (s *Server) Create(spec CollectionSpec) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.log.SetStageHistogram(s.metrics.stagingDur)
+	s.observeIngest(c)
 	s.mu.Lock()
 	if _, exists := s.collections[c.Name()]; exists {
 		s.mu.Unlock()

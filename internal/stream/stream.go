@@ -21,11 +21,11 @@
 // collections (internal/server), which removes the N+1 record-log/staging
 // duplication plain per-shard indexers would pay.
 //
-// Concurrency model: signature stages of a mini-batch are computed by a
-// pool of workers (runtime.NumCPU() by default); the l hash tables are
-// distributed round-robin over the same number of shards, each shard
-// guarding its tables with its own mutex, so bucket updates of one batch
-// proceed in parallel across shards while staying sequential (in record
+// Concurrency model: a mini-batch's signature stages and band keys are
+// computed by a pool of workers (runtime.NumCPU() by default); the l hash
+// tables are distributed round-robin over the same number of shards, each
+// shard guarding its tables with its own mutex, so bucket updates of one
+// batch proceed in parallel across shards while staying sequential (in record
 // order) within each shard. Insert may also be called from many goroutines
 // concurrently; candidate-pair output is deduplicated globally either way.
 package stream
@@ -35,6 +35,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"semblock/internal/blocking"
@@ -81,6 +82,12 @@ type SharedLog struct {
 	// keeps Append free of any instrumentation cost beyond one pointer test.
 	stageHist *obs.Histogram
 
+	// bandsSigned / bandsSkipped, when set, count the (record, table) bands
+	// every attached Indexer signed, and skipped because the record's
+	// semhash keeps it out of the table — the semantic filter's live veto
+	// rate. Nil counters no-op.
+	bandsSigned, bandsSkipped *obs.Counter
+
 	mu      sync.Mutex
 	dataset *record.Dataset
 }
@@ -89,6 +96,14 @@ type SharedLog struct {
 // every subsequent Append observes into (nil disables). Call before the
 // log is shared across goroutines; the field is not synchronised.
 func (l *SharedLog) SetStageHistogram(h *obs.Histogram) { l.stageHist = h }
+
+// SetBandCounters installs the counters of signed and skipped bands that
+// every Indexer attached to the log adds to, once per batch (nil disables).
+// Call before the log is shared across goroutines; the fields are not
+// synchronised.
+func (l *SharedLog) SetBandCounters(signed, skipped *obs.Counter) {
+	l.bandsSigned, l.bandsSkipped = signed, skipped
+}
 
 // NewSharedLog builds an empty shared record log for the given (SA-)LSH
 // configuration. Indexers attach with WithSharedLog; their configuration
@@ -125,17 +140,20 @@ func (l *SharedLog) Append(rows []Row) StagedBatch {
 	if len(rows) == 0 {
 		return StagedBatch{}
 	}
-	recs := l.appendRecords(rows)
-	ids := make([]record.ID, len(recs))
-	for i, r := range recs {
-		ids[i] = r.ID
+	recs := make([]*record.Record, len(rows))
+	ids := make([]record.ID, len(rows))
+	l.mu.Lock()
+	for i, row := range rows {
+		recs[i] = l.dataset.Append(row.Entity, row.Attrs)
+		ids[i] = recs[i].ID
 	}
+	l.mu.Unlock()
 	var stageStart time.Time
 	if l.stageHist != nil {
 		stageStart = time.Now()
 	}
 	stages := make([]lsh.Stage, len(recs))
-	parallelChunks(len(recs), l.workers, func(lo, hi int) {
+	engine.ParallelChunks(len(recs), l.workers, func(lo, hi int) {
 		var arena []uint64
 		for i := lo; i < hi; i++ {
 			stages[i], arena = l.signer.StageAppend(recs[i], arena)
@@ -145,47 +163,6 @@ func (l *SharedLog) Append(rows []Row) StagedBatch {
 		l.stageHist.Observe(time.Since(stageStart))
 	}
 	return StagedBatch{IDs: ids, stages: stages}
-}
-
-// appendRecords appends rows under the log mutex and returns the records.
-func (l *SharedLog) appendRecords(rows []Row) []*record.Record {
-	recs := make([]*record.Record, len(rows))
-	l.mu.Lock()
-	for i, row := range rows {
-		recs[i] = l.dataset.Append(row.Entity, row.Attrs)
-	}
-	l.mu.Unlock()
-	return recs
-}
-
-// parallelChunks splits [0,n) into up to `workers` contiguous chunks and
-// runs fn on each concurrently, returning when all chunks finish. It is the
-// one worker-pool shape every batch stage here uses.
-func parallelChunks(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // Len returns the number of records appended so far.
@@ -290,9 +267,8 @@ type Indexer struct {
 	workers int
 	name    string
 
-	tableSubset    []int // the table indices this index maintains
+	tableSubset    []int // the table indices this index maintains, ascending
 	tableSubsetSet bool  // whether WithTables restricted the subset
-	sigComponents  []int // signature components of the subset (nil = all)
 
 	log    *SharedLog // record log + stage computation; private unless shared
 	shared bool       // attached via WithSharedLog
@@ -314,7 +290,9 @@ type Indexer struct {
 type shard struct {
 	mu     sync.Mutex
 	tables []int           // table indices owned by this shard
+	slots  []int           // parallel to tables: each table's position in Indexer.tableSubset
 	store  []*engine.Table // parallel to tables
+	keys   []uint64        // bucket-key scratch of insert
 }
 
 // NewIndexer builds an empty streaming index for the given (SA-)LSH
@@ -372,13 +350,6 @@ func NewIndexer(cfg lsh.Config, opts ...Option) (*Indexer, error) {
 		}
 	}
 	ix.tableSubset = tables
-	if len(tables) < cfg.L {
-		// A strict subset only ever reads its own tables' bands, so the
-		// signature stage computes just those components — a family of
-		// shards partitioning the tables performs the same total hash work
-		// as one unrestricted index.
-		ix.sigComponents = ix.signer.TableComponents(tables)
-	}
 	nShards := ix.workers
 	if nShards > len(tables) {
 		nShards = len(tables)
@@ -393,6 +364,7 @@ func NewIndexer(cfg lsh.Config, opts ...Option) (*Indexer, error) {
 	for i, t := range tables {
 		sh := ix.shards[i%nShards]
 		sh.tables = append(sh.tables, t)
+		sh.slots = append(sh.slots, i)
 		sh.store = append(sh.store, engine.NewTable(0))
 	}
 	return ix, nil
@@ -449,95 +421,22 @@ func (ix *Indexer) Len() int { return ix.log.Len() }
 // Candidates. Safe for concurrent use. On a shared-log index the record is
 // appended to the shared log (other attached indexers see it in their
 // Len/Dataset, but only this index's tables are filled).
-//
-// Insert signs the record directly — no lsh.Stage is materialised, since
-// nothing else consumes it; staging exists for the SharedLog.Append +
-// InsertStaged fan-out, where several indexers share one stage.
 func (ix *Indexer) Insert(entity record.EntityID, attrs map[string]string) record.ID {
-	r := ix.log.appendRecords([]Row{{Entity: entity, Attrs: attrs}})[0]
-	sig := ix.sign(r)
-	sem := ix.signer.SemSign(r)
-	var found []record.Pair
-	keys := make([]uint64, 0, 8)
-	for _, sh := range ix.shards {
-		found = sh.insert(ix.signer, r.ID, sig, sem, keys, found)
-	}
-	ix.commit(found)
-	return r.ID
+	return ix.InsertBatch([]Row{{Entity: entity, Attrs: attrs}})[0]
 }
 
-// InsertBatch adds a mini-batch of records and returns their assigned IDs.
-// Signatures are computed by the worker pool in a single fused pass (like
-// Insert, no intermediate lsh.Stage) and the shards' bucket maps are
-// updated in parallel, one goroutine per shard, keeping per-bucket record
-// order equal to insertion order. Safe for concurrent use.
+// InsertBatch adds a mini-batch of records and returns their assigned IDs:
+// the batch is staged by the log and filed exactly as InsertStaged does,
+// then the collision pairs are committed to the index's own ledger. Safe
+// for concurrent use.
 func (ix *Indexer) InsertBatch(rows []Row) []record.ID {
 	if len(rows) == 0 {
 		return nil
 	}
-	recs := ix.log.appendRecords(rows)
-	ids := make([]record.ID, len(recs))
-	for i, r := range recs {
-		ids[i] = r.ID
-	}
-
-	// Stage 1: signature computation, chunked over the worker pool; all
-	// signatures are carved from one backing array.
-	sigs := ix.sigArena(len(recs))
-	sems := make([]semantic.BitVec, len(recs))
-	parallelChunks(len(recs), ix.workers, func(lo, hi int) {
-		// One semhash word arena per chunk: the vectors' views outlive the
-		// loop, so the arena cannot be pooled, but carving them from one
-		// append-grown backing keeps the batch at O(log n) allocations.
-		var semArena []uint64
-		for i := lo; i < hi; i++ {
-			ix.signer.SignComponentsInto(recs[i], ix.sigComponents, sigs[i])
-			sems[i], semArena = ix.signer.AppendSemSign(recs[i], semArena)
-		}
-	})
-
-	// Stage 2: bucket updates, one goroutine per shard, records in order.
-	foundPerShard := make([][]record.Pair, len(ix.shards))
-	var wg sync.WaitGroup
-	for si, sh := range ix.shards {
-		wg.Add(1)
-		go func(si int, sh *shard) {
-			defer wg.Done()
-			var found []record.Pair
-			keys := make([]uint64, 0, 8)
-			for i, r := range recs {
-				found = sh.insert(ix.signer, r.ID, sigs[i], sems[i], keys, found)
-			}
-			foundPerShard[si] = found
-		}(si, sh)
-	}
-	wg.Wait()
-	for _, found := range foundPerShard {
-		ix.commit(found)
-	}
-	return ids
-}
-
-// sign computes a record's minhash signature — the full k·l components, or
-// only the maintained tables' bands when WithTables restricted the index.
-func (ix *Indexer) sign(r *record.Record) []uint64 {
-	if ix.sigComponents == nil {
-		return ix.signer.Sign(r)
-	}
-	return ix.signer.SignComponents(r, ix.sigComponents)
-}
-
-// sigArena returns n signature buffers carved from one backing array, so a
-// batch's signature stage costs two allocations instead of n.
-func (ix *Indexer) sigArena(n int) [][]uint64 {
-	cfg := ix.signer.Config()
-	size := cfg.K * cfg.L
-	backing := make([]uint64, n*size)
-	sigs := make([][]uint64, n)
-	for i := range sigs {
-		sigs[i] = backing[i*size : (i+1)*size : (i+1)*size]
-	}
-	return sigs
+	b := ix.log.Append(rows)
+	groups := ix.InsertStaged(b)
+	ix.commit(groups.pairs)
+	return b.IDs
 }
 
 // PairGroups is a flat, record-major grouping of collision pairs: Group(i)
@@ -581,34 +480,19 @@ func (ix *Indexer) InsertStaged(b StagedBatch) PairGroups {
 	if len(b.IDs) == 0 {
 		return PairGroups{}
 	}
-	// Stage 1: this index's minhash components, derived from the shared
-	// stages by the worker pool (the q-grams were hashed once, in the log),
-	// all signatures carved from one backing array.
-	sigs := ix.sigArena(len(b.IDs))
-	parallelChunks(len(b.IDs), ix.workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ix.signer.SignStagedInto(&b.stages[i], ix.sigComponents, sigs[i])
-		}
-	})
+	keys := ix.bandKeys(b.stages)
 
-	// Stage 2: bucket updates, one goroutine per shard, records in order,
-	// collision pairs accumulated flat with per-record offsets.
+	// Bucket updates, one goroutine per shard, records in order, collision
+	// pairs accumulated flat with per-record offsets.
 	perShard := make([]PairGroups, len(ix.shards))
-	var wg sync.WaitGroup
-	for si, sh := range ix.shards {
-		wg.Add(1)
-		go func(si int, sh *shard) {
-			defer wg.Done()
-			g := PairGroups{off: make([]int, len(b.IDs)+1)}
-			keys := make([]uint64, 0, 8)
-			for i, id := range b.IDs {
-				g.pairs = sh.insert(ix.signer, id, sigs[i], b.stages[i].Sem(), keys, g.pairs)
-				g.off[i+1] = len(g.pairs)
-			}
-			perShard[si] = g
-		}(si, sh)
-	}
-	wg.Wait()
+	ix.eachShard(len(b.IDs), func(si int, sh *shard) {
+		g := PairGroups{off: make([]int, len(b.IDs)+1)}
+		for i, id := range b.IDs {
+			g.pairs = sh.insert(ix.signer, id, ix.recordKeys(keys, i), b.stages[i].Sem(), g.pairs, true)
+			g.off[i+1] = len(g.pairs)
+		}
+		perShard[si] = g
+	})
 	if len(ix.shards) == 1 {
 		return perShard[0]
 	}
@@ -642,54 +526,83 @@ func (ix *Indexer) ReplayStaged(b StagedBatch) {
 	if len(b.IDs) == 0 {
 		return
 	}
-	sigs := ix.sigArena(len(b.IDs))
-	parallelChunks(len(b.IDs), ix.workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ix.signer.SignStagedInto(&b.stages[i], ix.sigComponents, sigs[i])
+	keys := ix.bandKeys(b.stages)
+	ix.eachShard(len(b.IDs), func(_ int, sh *shard) {
+		for i, id := range b.IDs {
+			sh.insert(ix.signer, id, ix.recordKeys(keys, i), b.stages[i].Sem(), nil, false)
 		}
 	})
+}
+
+// eachShard runs fn once per shard: concurrently for a batch, inline for a
+// single record, where a goroutine per shard costs more than the handful of
+// bucket updates it would run.
+func (ix *Indexer) eachShard(batch int, fn func(si int, sh *shard)) {
+	if batch == 1 || len(ix.shards) == 1 {
+		for si, sh := range ix.shards {
+			fn(si, sh)
+		}
+		return
+	}
 	var wg sync.WaitGroup
-	for _, sh := range ix.shards {
+	for si, sh := range ix.shards {
 		wg.Add(1)
-		go func(sh *shard) {
+		go func(si int, sh *shard) {
 			defer wg.Done()
-			keys := make([]uint64, 0, 8)
-			for i, id := range b.IDs {
-				keys = sh.replay(ix.signer, id, sigs[i], b.stages[i].Sem(), keys)
-			}
-		}(sh)
+			fn(si, sh)
+		}(si, sh)
 	}
 	wg.Wait()
 }
 
-// replay files the record into every table of the shard, discarding the
-// collision pairs (see ReplayStaged). It returns the key scratch slice so
-// the caller can reuse its capacity across records.
-//
-//semblock:hotpath
-func (sh *shard) replay(signer *lsh.Signer, id record.ID, sig []uint64, sem semantic.BitVec, keys []uint64) []uint64 {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for i, t := range sh.tables {
-		keys = signer.BucketKeys(t, sig, sem, keys[:0])
-		for _, key := range keys {
-			sh.store[i].Insert(key, id)
+// bandKeys is the signing step every ingest path shares: the worker pool
+// signs each staged record's active bands of this index's tables into a
+// per-worker k·l scratch and keeps only the band keys — record-major, one
+// slot per maintained table (recordKeys), slots of inactive tables left
+// unwritten. A family of shards partitioning the tables performs the same
+// total hash work as one unrestricted index.
+func (ix *Indexer) bandKeys(stages []lsh.Stage) []uint64 {
+	cfg, ls := ix.signer.Config(), len(ix.tableSubset)
+	keys := make([]uint64, len(stages)*ls)
+	var signed atomic.Int64
+	engine.ParallelChunks(len(stages), ix.workers, func(lo, hi int) {
+		sig := make([]uint64, cfg.K*cfg.L)
+		n := 0
+		for i := lo; i < hi; i++ {
+			n += ix.signer.BandKeys(&stages[i], ix.tableSubset, sig, keys[i*ls:], 1)
 		}
-	}
+		signed.Add(int64(n))
+	})
+	ix.log.bandsSigned.Add(signed.Load())
+	ix.log.bandsSkipped.Add(int64(len(keys)) - signed.Load())
 	return keys
 }
 
-// insert files the record into every table of the shard and appends the
-// (not yet deduplicated) collision pairs to found.
+// recordKeys returns batch record i's band-key slots within bandKeys'
+// result.
+func (ix *Indexer) recordKeys(keys []uint64, i int) []uint64 {
+	ls := len(ix.tableSubset)
+	return keys[i*ls : (i+1)*ls]
+}
+
+// insert files the record into every table of the shard — bandKeys holds
+// the record's band-key slots (Indexer.recordKeys) — and, when collect is
+// set, appends the (not yet deduplicated) collision pairs to found.
+// ReplayStaged passes collect=false: co-bucketing alone determines the pair
+// set, so replay skips the pair bookkeeping.
 //
 //semblock:hotpath
-func (sh *shard) insert(signer *lsh.Signer, id record.ID, sig []uint64, sem semantic.BitVec, keys []uint64, found []record.Pair) []record.Pair {
+func (sh *shard) insert(signer *lsh.Signer, id record.ID, bandKeys []uint64, sem semantic.BitVec, found []record.Pair, collect bool) []record.Pair {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for i, t := range sh.tables {
-		keys = signer.BucketKeys(t, sig, sem, keys[:0])
-		for _, key := range keys {
-			for _, other := range sh.store[i].Insert(key, id) {
+		sh.keys = signer.FanOut(t, bandKeys[sh.slots[i]], sem, sh.keys[:0])
+		for _, key := range sh.keys {
+			others := sh.store[i].Insert(key, id)
+			if !collect {
+				continue
+			}
+			for _, other := range others {
 				found = append(found, record.MakePair(other, id))
 			}
 		}

@@ -10,15 +10,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${PATTERN:-BenchmarkPipelineBlock|BenchmarkPipelineEndToEnd|BenchmarkPipelineBudget|BenchmarkBlockLSH|BenchmarkBlockSALSH|BenchmarkIndexerInsertBatch|BenchmarkServerIngest|BenchmarkCollectionIngest}"
+PATTERN="${PATTERN:-BenchmarkPipelineBlock|BenchmarkPipelineEndToEnd|BenchmarkPipelineBudget|BenchmarkBlockLSH|BenchmarkBlockSALSH|BenchmarkIndexerInsertBatch|BenchmarkServerIngest|BenchmarkCollectionIngest|BenchmarkSignBand}"
 BENCHTIME="${BENCHTIME:-1s}"
 COUNT="${COUNT:-1}"
 OUT="${OUT:-BENCH_pipeline.json}"
 
 # The root package holds the end-to-end benches (HTTP ServerIngest among
 # them); internal/server holds the in-process CollectionIngest bench whose
-# allocs/op track the shared-record-log ingest path per shard count.
-PKGS="${PKGS:-. ./internal/server}"
+# allocs/op track the shared-record-log ingest path per shard count;
+# internal/minhash holds the signature kernel's ns/eval bench.
+PKGS="${PKGS:-. ./internal/server ./internal/minhash}"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT

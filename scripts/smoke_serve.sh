@@ -87,6 +87,10 @@ for family in \
         || { echo "histogram $family never observed"; exit 1; }
 done
 echo "$METRICS" | grep -q '^semblock_goroutines [1-9]' || { echo "missing goroutine gauge"; exit 1; }
+# The band counters: the three records above were signed (plain LSH skips
+# no band, so the skipped family is present at zero).
+echo "$METRICS" | grep -q '^semblock_sign_bands_total [1-9]' || { echo "no signed bands counted"; exit 1; }
+echo "$METRICS" | grep -q '^semblock_sign_bands_skipped_total 0$' || { echo "missing skipped-bands counter"; exit 1; }
 
 # Consumer groups + push delivery: start a local webhook receiver that
 # refuses the first delivery (exercising a retry), register a group from the
