@@ -1,6 +1,6 @@
 # Developer entry points. CI runs the same targets.
 
-.PHONY: build test race vet lint semlint bench benchcmp serve smoke
+.PHONY: build test race vet lint semlint bench benchcmp bench-e2e-smoke serve smoke
 
 build:
 	go build ./...
@@ -36,8 +36,9 @@ semlint:
 # the same gates the CI bench job applies after every run: >25% allocs/op
 # or >100% ns/op regression, parallel/serial speedup < 1.5x (machines with
 # GOMAXPROCS >= 4 only), CollectionIngest shards=8 allocs/op drifting
-# >10% above shards=1, the PipelineEndToEnd allocs/op hard ceiling, and
-# the traced pipeline staying within 10% ns/op of the untraced one.
+# >10% above shards=1, the PipelineEndToEnd allocs/op hard ceiling, the
+# traced pipeline staying within 10% ns/op of the untraced one, and the
+# signature kernel staying under 1.0 ns per hash evaluation.
 benchcmp:
 	git show HEAD:BENCH_pipeline.json > /tmp/bench_baseline.json
 	go run ./scripts/benchcmp -max-regress 25 -max-ns-regress 100 \
@@ -45,12 +46,22 @@ benchcmp:
 		-alloc-ceiling BenchmarkPipelineEndToEnd=90000 \
 		-ns-overhead BenchmarkPipelineEndToEndTraced:BenchmarkPipelineEndToEnd \
 		-overhead-tolerance 10 \
+		-metric-ceiling BenchmarkSignBand/85x252:ns/eval=1.0 \
 		/tmp/bench_baseline.json BENCH_pipeline.json
 
 # Runs the blocking/pipeline benchmarks and writes BENCH_pipeline.json so
 # the perf trajectory is tracked across PRs. BENCHTIME=1x for a smoke run.
 bench:
 	./scripts/bench.sh
+
+# The end-to-end benchmark (bench/) is its own module, invisible to
+# `go test ./...` at the root, yet it binds root-module functions
+# (bench/surface.go): its unit tests plus every workload at ~1/100 size with
+# all output checks on, so a root API change that breaks it fails here and
+# not first in the benchmark driver.
+bench-e2e-smoke:
+	cd bench && go test ./...
+	go run -C bench . --smoke
 
 # Runs the multi-tenant blocking service locally with persistence under
 # ./data. Override: make serve SERVE_FLAGS='-addr :9090 -shards 8'.

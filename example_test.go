@@ -107,7 +107,9 @@ func ExampleNewPipeline() {
 	d.Append(1, map[string]string{"name": "mary johnson"})
 	d.Append(1, map[string]string{"name": "mary jonson"})
 
-	b, _ := semblock.New(semblock.Config{Attrs: []string{"name"}, Q: 2, K: 2, L: 6, Seed: 1})
+	// Each pair shares ≥ 2/3 of its 2-grams, so a k=2 band collides with
+	// probability ≥ 0.48 and 24 tables miss a pair once in ~10^7 families.
+	b, _ := semblock.New(semblock.Config{Attrs: []string{"name"}, Q: 2, K: 2, L: 24, Seed: 1})
 	m, _ := semblock.NewMatcher([]semblock.AttrWeight{
 		{Attr: "name", Weight: 1, Sim: "jaro_winkler"},
 	}, 0.9)
@@ -164,7 +166,9 @@ func ExampleNewMatcher() {
 	d.Append(0, map[string]string{"name": "robert smyth"})
 	d.Append(1, map[string]string{"name": "mary johnson"})
 
-	b, _ := semblock.New(semblock.Config{Attrs: []string{"name"}, Q: 2, K: 2, L: 6, Seed: 1})
+	// Each pair shares ≥ 2/3 of its 2-grams, so a k=2 band collides with
+	// probability ≥ 0.48 and 24 tables miss a pair once in ~10^7 families.
+	b, _ := semblock.New(semblock.Config{Attrs: []string{"name"}, Q: 2, K: 2, L: 24, Seed: 1})
 	blocks, _ := b.Block(d)
 
 	m, _ := semblock.NewMatcher([]semblock.AttrWeight{

@@ -16,7 +16,7 @@ import (
 // snapshot and a batch Block run over the same records produce the same
 // blocks.
 //
-// There is one signing flow. Stage a record (StageAppend: q-gram base
+// There is one signing flow. Stage a record (StageAppend: finalised q-gram
 // hashes + semhash, the table-independent half), then sign only the bands
 // of tables that are active for it — the ones its semhash lets it enter at
 // all (§5.2) — and keep one band key per table (BandKeys); BucketKeys /
@@ -25,8 +25,9 @@ import (
 // read, so signature and key buffers may be reused dirty.
 //
 // Staging is interned: a record's q-grams are streamed straight out of the
-// normalised blocking key (textual.VisitQGrams) into base hashes
-// (minhash.BaseHash) — no gram strings and no gram slice are materialised.
+// normalised blocking key (textual.VisitQGrams) into shingle hashes
+// (minhash.ShingleHash, where the family's per-shingle finaliser runs) — no
+// gram strings and no gram slice are materialised.
 type Signer struct {
 	cfg  Config
 	fam  *minhash.Family
@@ -77,12 +78,12 @@ func (s *Signer) Config() Config { return s.cfg }
 // Semantic reports whether the signer is configured for SA-LSH.
 func (s *Signer) Semantic() bool { return s.cfg.Semantic != nil }
 
-// AppendKeyHashes appends the base hashes of the record's q-gram shingles
+// AppendKeyHashes appends the shingle hashes of the record's q-grams
 // to dst and returns the extended slice: grams are hashed as views into the
 // normalised key, never materialised as strings.
 func (s *Signer) AppendKeyHashes(r *record.Record, dst []uint64) []uint64 {
 	textual.VisitQGrams(r.Key(s.cfg.Attrs...), s.cfg.Q, func(g string) {
-		dst = append(dst, minhash.BaseHash(g))
+		dst = append(dst, minhash.ShingleHash(g))
 	})
 	return dst
 }
@@ -99,13 +100,13 @@ func (s *Signer) AppendSemSign(r *record.Record, arena []uint64) (semantic.BitVe
 }
 
 // Stage is the table-independent half of one record's signature work: the
-// base hashes of its q-gram shingles plus its semhash signature — attribute
+// shingle hashes of its q-grams plus its semhash signature — attribute
 // concatenation, q-gram extraction, string hashing and the taxonomy walk.
 // A Stage computed once serves any number of table-subset indexers, each
 // signing only its own active bands from it. Stages are per-batch
 // hand-offs, not retained state.
 type Stage struct {
-	hashes []uint64 // base hashes of the record's q-grams
+	hashes []uint64 // minhash.ShingleHash of the record's q-grams
 	sem    semantic.BitVec
 }
 

@@ -1,10 +1,14 @@
 // Package minhash implements min-wise independent permutation signatures
 // (Broder et al.), the textual-similarity LSH family of the paper's §5.1.
 //
-// Each hash function h_i maps a shingle (q-gram) to a 64-bit value through
-// a seeded mixer; a record's signature component i is the minimum of
-// h_i over its shingle set. Two records agree on component i with
-// probability equal to the Jaccard similarity of their shingle sets.
+// A shingle (q-gram) x is hashed and finalised once, m(x) = ShingleHash(x);
+// hash function h_i is one multiplication of that value by the family's
+// i-th odd constant, h_i(x) = m(x)·c_i mod 2^64, and a record's signature
+// component i is the minimum of h_i over its shingle set. Two records agree
+// on component i with probability equal to the Jaccard similarity of their
+// shingle sets, and on a band of k components with probability J^k — the
+// only properties §5.1 asks of the family, and the ones
+// TestFamilyCollisionModel measures.
 package minhash
 
 import (
@@ -16,7 +20,7 @@ import (
 // convention) while an empty and a non-empty record almost surely disagree.
 const emptyMin = ^uint64(0)
 
-// Family is a set of n minhash functions with fixed random seeds.
+// Family is a set of n minhash functions: n fixed random odd multipliers.
 type Family struct {
 	seeds []uint64
 }
@@ -27,7 +31,7 @@ func NewFamily(n int, seed int64) *Family {
 	rng := rand.New(rand.NewSource(seed))
 	seeds := make([]uint64, n)
 	for i := range seeds {
-		seeds[i] = rng.Uint64() | 1 // avoid the degenerate zero seed
+		seeds[i] = rng.Uint64() | 1 // odd: x ↦ x·c is then a bijection of Z/2^64
 	}
 	return &Family{seeds: seeds}
 }
@@ -35,10 +39,9 @@ func NewFamily(n int, seed int64) *Family {
 // Size returns the number of hash functions (the signature length).
 func (f *Family) Size() int { return len(f.seeds) }
 
-// baseHash maps a shingle to a 64-bit value; per-function values are
-// derived from it by seeded mixing so each shingle is string-hashed once.
-// FNV-64a, written out so hashing a gram neither allocates a hasher nor
-// copies the string to bytes (hash/fnv does both).
+// baseHash maps a shingle to a 64-bit value. FNV-64a, written out so
+// hashing a gram neither allocates a hasher nor copies the string to bytes
+// (hash/fnv does both).
 //
 //semblock:hotpath
 func baseHash(gram string) uint64 {
@@ -54,10 +57,30 @@ func baseHash(gram string) uint64 {
 	return h
 }
 
-// BaseHash exposes the shingle base hash (FNV-64a) for callers that stream
-// grams through textual.VisitQGrams instead of materialising a gram slice —
-// the interned-hashing fast path of lsh.Signer. SignBand consumes these.
+// BaseHash exposes the shingle base hash (FNV-64a) for callers that only
+// compare shingles for equality (er.Kernel's set intersections). Signing
+// needs ShingleHash.
 func BaseHash(gram string) uint64 { return baseHash(gram) }
+
+// ShingleHash is the value SignBand consumes for one shingle: the base hash
+// put through the SplitMix64 finaliser. FNV-64a of two grams that differ in
+// their last byte differs by a small multiple of the FNV prime, structure a
+// bare multiplication would carry into every component; the finaliser
+// removes it, once per shingle instead of once per evaluation. Callers that
+// stream grams through textual.VisitQGrams (lsh.Signer's staging) call it
+// per gram.
+//
+//semblock:hotpath
+func ShingleHash(gram string) uint64 { return splitmix64(baseHash(gram)) }
+
+// eval is hash function c applied to a finalised shingle hash m: the one
+// definition every signing loop (SignBand, Signature2Into, the test oracle)
+// goes through. c is odd, so m ↦ m·c permutes the 64-bit values, and the
+// minimum is decided by the product's high bits — the ones every bit of m
+// reaches through the carries.
+//
+//semblock:hotpath
+func eval(m, c uint64) uint64 { return m * c }
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a cheap,
 // high-quality 64-bit mixer.
@@ -85,18 +108,18 @@ func (f *Family) Signature(grams []string) []uint64 {
 }
 
 // SignatureInto computes the signature into the provided slice, which must
-// have length Size(): SignBand over every component of the grams' base
+// have length Size(): SignBand over every component of the grams' shingle
 // hashes.
 func (f *Family) SignatureInto(grams []string, sig []uint64) {
 	hashes := make([]uint64, len(grams))
 	for i, g := range grams {
-		hashes[i] = baseHash(g)
+		hashes[i] = ShingleHash(g)
 	}
 	f.SignBand(hashes, 0, len(f.seeds), sig)
 }
 
 // SignBand computes signature components [lo,hi) from precomputed shingle
-// base hashes (BaseHash of every shingle) into sig[lo:hi]; nothing outside
+// hashes (ShingleHash of every shingle) into sig[lo:hi]; nothing outside
 // that range is written or read. It is the package's one min-over-seeds
 // loop: a full signature is SignBand(hashes, 0, Size(), sig), a hash
 // table's band is SignBand(hashes, t·k, (t+1)·k, sig), and because every
@@ -105,12 +128,10 @@ func (f *Family) SignatureInto(grams []string, sig []uint64) {
 //
 // The loop is component-major: seeds are taken four at a time and the
 // hashes streamed past them, so the four running minima live in registers
-// for the whole pass — the min builtin compiles to a conditional move, and
-// there is neither a load/store of sig[i] nor a data-dependent branch per
-// evaluation. (The shingle-major order it replaced re-read and re-wrote
-// every sig[i] once per shingle and mispredicted on each new minimum.) The
-// four chains are independent, which is what keeps the multiplier busy; a
-// scalar tail covers (hi-lo) mod 4.
+// for the whole pass — an evaluation is one multiply, one compare and one
+// conditional move (the min builtin), with neither a load/store of sig[i]
+// nor a data-dependent branch. The four chains are independent, which is
+// what keeps the multiplier busy; a scalar tail covers (hi-lo) mod 4.
 //
 //semblock:hotpath
 func (f *Family) SignBand(hashes []uint64, lo, hi int, sig []uint64) {
@@ -120,17 +141,17 @@ func (f *Family) SignBand(hashes []uint64, lo, hi int, sig []uint64) {
 		s0, s1, s2, s3 := seeds[i], seeds[i+1], seeds[i+2], seeds[i+3]
 		m0, m1, m2, m3 := emptyMin, emptyMin, emptyMin, emptyMin
 		for _, b := range hashes {
-			m0 = min(m0, splitmix64(b^s0))
-			m1 = min(m1, splitmix64(b^s1))
-			m2 = min(m2, splitmix64(b^s2))
-			m3 = min(m3, splitmix64(b^s3))
+			m0 = min(m0, eval(b, s0))
+			m1 = min(m1, eval(b, s1))
+			m2 = min(m2, eval(b, s2))
+			m3 = min(m3, eval(b, s3))
 		}
 		out[i], out[i+1], out[i+2], out[i+3] = m0, m1, m2, m3
 	}
 	for ; i < len(seeds); i++ {
 		s, m := seeds[i], emptyMin
 		for _, b := range hashes {
-			m = min(m, splitmix64(b^s))
+			m = min(m, eval(b, s))
 		}
 		out[i] = m
 	}
@@ -150,9 +171,9 @@ func (f *Family) Signature2Into(grams []string, sig, sig2 []uint64) {
 		sig2[i] = emptyMin
 	}
 	for _, g := range grams {
-		b := baseHash(g)
+		b := ShingleHash(g)
 		for i, s := range f.seeds {
-			h := splitmix64(b ^ s)
+			h := eval(b, s)
 			switch {
 			case h < sig[i]:
 				sig2[i] = sig[i]

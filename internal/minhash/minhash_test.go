@@ -127,7 +127,7 @@ func TestSignatureSubsetInto(t *testing.T) {
 	f := NewFamily(24, 42)
 	grams := textual.QGrams("cascade correlation learning", 2)
 	full := f.Signature(grams)
-	hashes := baseHashes(grams)
+	hashes := shingleHashes(grams)
 
 	const canary = 0xdeadbeef
 	for _, r := range [][2]int{{2, 4}, {10, 19}, {22, 24}, {0, 24}, {7, 7}} {
@@ -164,7 +164,7 @@ func TestSignatureFromHashes(t *testing.T) {
 	f := NewFamily(24, 42)
 	grams := textual.QGrams("cascade correlation learning", 2)
 	full := f.Signature(grams)
-	hashes := baseHashes(grams)
+	hashes := shingleHashes(grams)
 
 	for _, k := range []int{1, 2, 3, 4, 6, 8, 12, 24} {
 		staged := make([]uint64, f.Size())

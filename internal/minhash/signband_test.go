@@ -7,26 +7,26 @@ import (
 	"testing"
 )
 
-// signBandNaive is the shingle-major loop SignBand replaced — sentinel fill,
-// then every hash compared against every running minimum in memory — kept
-// as the test-only reference the kernel must equal bit for bit.
+// signBandNaive is the shingle-major form of SignBand — sentinel fill, then
+// every hash compared against every running minimum in memory — the
+// test-only reference the kernel must equal bit for bit.
 func signBandNaive(f *Family, hashes []uint64, lo, hi int, sig []uint64) {
 	for i := lo; i < hi; i++ {
 		sig[i] = emptyMin
 	}
 	for _, b := range hashes {
 		for i := lo; i < hi; i++ {
-			if h := splitmix64(b ^ f.seeds[i]); h < sig[i] {
+			if h := eval(b, f.seeds[i]); h < sig[i] {
 				sig[i] = h
 			}
 		}
 	}
 }
 
-func baseHashes(grams []string) []uint64 {
+func shingleHashes(grams []string) []uint64 {
 	hashes := make([]uint64, len(grams))
 	for i, g := range grams {
-		hashes[i] = BaseHash(g)
+		hashes[i] = ShingleHash(g)
 	}
 	return hashes
 }

@@ -40,21 +40,28 @@ import (
 // consumers when the checkpoint was taken) tells restore how long a prefix
 // of it to discard instead of redelivering.
 const (
-	// manifestVersion is bumped whenever the on-disk layout changes shape.
-	// v1: spec + record segments. v2: + durable drain cursor (manifest
-	// `drained`, per-segment cumulative `drained` epoch marks). v3: +
-	// compaction generations (manifest `generation`, per-segment `bytes`,
-	// generation-scoped segment names) — see compact.go. v4: + named
-	// consumer groups (manifest `consumers`: per-group durable cursors and
-	// webhook sinks) — see consumer.go; `drained` becomes the derived
-	// minimum cursor across groups, kept for diagnostics and downgrades.
-	manifestVersion = 4
-	// oldestManifestVersion is the oldest layout LoadCollection still
-	// reads. v1 directories load with a zero cursor — the drain restarts
-	// from the full candidate set, with a logged warning. v2 directories
-	// load as generation 0 with unknown segment sizes (filled by stat).
-	// v2/v3 directories migrate their single drain cursor into the
-	// `default` consumer group.
+	// manifestVersion names the on-disk layout AND the hash-family
+	// generation the cursors in it were counted under. v1: spec + record
+	// segments. v2: + durable drain cursor (manifest `drained`, per-segment
+	// cumulative `drained` epoch marks). v3: + compaction generations
+	// (manifest `generation`, per-segment `bytes`, generation-scoped segment
+	// names) — see compact.go. v4: + named consumer groups (manifest
+	// `consumers`: per-group durable cursors and webhook sinks) — see
+	// consumer.go; `drained` becomes the derived minimum cursor across
+	// groups, kept for diagnostics. v5: the v4 layout, written by builds
+	// whose minhash family is the one-multiply family over finalised shingle
+	// hashes (internal/minhash).
+	//
+	// A cursor is an index into the canonical emission sequence, and that
+	// sequence is a function of the bucket contents, hence of the family: a
+	// cursor counted under another family would skip the first `cursor`
+	// pairs of a sequence it was never counted in. So every older manifest
+	// takes one legacy path — its records, consumer-group names and webhook
+	// specs load, every cursor restarts at zero, and one warning says so
+	// (delivery across the upgrade is at-least-once). Bump the version
+	// whenever the layout or the emission sequence changes.
+	manifestVersion = 5
+	// oldestManifestVersion is the oldest layout LoadCollection still reads.
 	oldestManifestVersion = 1
 )
 
@@ -77,17 +84,13 @@ type manifest struct {
 	Version int            `json:"version"`
 	Spec    CollectionSpec `json:"spec"`
 	Records int            `json:"records"`
-	// Drained is the durable drain cursor of pre-v4 manifests: how many
-	// candidate pairs had been delivered (in the collection's canonical
-	// emission order) when the checkpoint was taken. Since v4 the
-	// per-group cursors in Consumers are authoritative and Drained is
-	// written as their minimum — the sequence prefix every group has
-	// acknowledged — so older readers and humans still see a meaningful
-	// single cursor.
+	// Drained is the minimum of the per-group cursors in Consumers — the
+	// prefix of the canonical emission sequence every group has
+	// acknowledged when the checkpoint was taken. Written for humans and
+	// diagnostics; restore reads only Consumers.
 	Drained int `json:"drained,omitempty"`
-	// Consumers are the named consumer groups and their durable cursors
-	// (v4+). A pre-v4 manifest loads as a single `default` group at
-	// Drained; a v4 manifest missing the default group gets it at zero.
+	// Consumers are the named consumer groups and their durable cursors. A
+	// manifest without the default group gets it at zero.
 	Consumers []consumerManifest `json:"consumers,omitempty"`
 	// Generation is the compaction generation of the segment chain: 0 until
 	// the first compaction, then incremented by every Compact. Segment file
@@ -115,13 +118,9 @@ type consumerManifest struct {
 type segmentInfo struct {
 	Name    string `json:"name"`
 	Records int    `json:"records"`
-	// Drained is the cumulative drain cursor at the checkpoint that sealed
-	// this segment — the epoch bookkeeping segment compaction relies on (a
-	// compactor must not drop a segment's records while pairs they emit
-	// are still undelivered; a compacted segment carries the cursor of the
-	// checkpoint state it folded in). Restore itself uses the
-	// manifest-level cursor, which also advances on record-less
-	// checkpoints.
+	// Drained is the manifest-level Drained of the checkpoint that sealed
+	// this segment (a compacted segment carries that of the checkpoint state
+	// it folded in): an epoch mark for diagnostics, never read by restore.
 	Drained int `json:"drained,omitempty"`
 	// Bytes is the segment file size, recorded so the compaction byte
 	// threshold can be evaluated without statting the chain on every
@@ -240,8 +239,9 @@ const replayChunk = 4096
 // pairs delivered before the checkpoint are discarded from the
 // reconstructed sequence instead of redelivered. Files the manifest does
 // not reference — debris of a crashed compaction — are logged with
-// ErrOrphanFile and skipped. A v1 manifest has no cursor — the drain
-// restarts from the full candidate set, with a logged warning.
+// ErrOrphanFile and skipped. A manifest older than manifestVersion keeps
+// its records, groups and webhooks but restarts every cursor at zero, with
+// one logged warning (see manifestVersion).
 func LoadCollection(dir string) (*Collection, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -255,17 +255,16 @@ func LoadCollection(dir string) (*Collection, error) {
 		return nil, fmt.Errorf("server: manifest %s has version %d, this build reads %d..%d",
 			dir, m.Version, oldestManifestVersion, manifestVersion)
 	}
-	if m.Version < 2 {
+	if m.Version < manifestVersion {
 		m.Drained = 0
-		warnf("server: collection %s: manifest v%d predates the drain cursor; the candidate drain restarts from the full set (consumers may see redelivered pairs once)",
-			m.Spec.Name, m.Version)
-	}
-	if m.Version < 4 {
-		// Pre-consumer-group manifest: its single drain cursor is, by
-		// definition, the default group's cursor. Any `consumers` field a
-		// newer writer left behind in a downgraded manifest is ignored —
-		// the declared version decides the layout.
-		m.Consumers = []consumerManifest{{Name: DefaultConsumer, Cursor: m.Drained}}
+		for i := range m.Consumers {
+			m.Consumers[i].Cursor = 0
+		}
+		for i := range m.Segments {
+			m.Segments[i].Drained = 0
+		}
+		warnf("server: collection %s: manifest v%d predates this build's hash family (v%d), so its drain cursors index a candidate sequence that no longer exists; records, consumer groups and webhooks are kept, every cursor restarts at zero (consumers may see redelivered pairs once)",
+			m.Spec.Name, m.Version, manifestVersion)
 	}
 	if m.Generation < 0 {
 		return nil, fmt.Errorf("server: manifest %s has negative generation %d", dir, m.Generation)
@@ -293,8 +292,8 @@ func LoadCollection(dir string) (*Collection, error) {
 				seg.Name, d.Len(), seg.Records)
 		}
 		if seg.Bytes == 0 {
-			// Pre-v3 manifest: backfill the size so the compaction byte
-			// threshold sees the whole chain.
+			// A manifest from before sizes were recorded: backfill, so the
+			// compaction byte threshold sees the whole chain.
 			if st, err := os.Stat(filepath.Join(dir, seg.Name)); err == nil {
 				seg.Bytes = st.Size()
 			}

@@ -248,28 +248,45 @@ func TestRestoreDrainCursorBatchBoundaries(t *testing.T) {
 	}
 }
 
-// TestManifestV1Compat loads a v1 directory (no drain cursor): the
-// collection restores, the drain restarts from the full set, and the
-// loader warns. Future versions are rejected.
-func TestManifestV1Compat(t *testing.T) {
-	_, rows := coraFixture(t, 120)
+// restoreLegacyManifest checkpoints a collection whose default group has
+// drained everything and whose "etl" group (with a webhook sink) has
+// acknowledged a first batch, rewrites the manifest the way the given older
+// version would have written it, and restores it. It asserts what every
+// pre-v5 manifest must do — the drain cursors in it were counted in another
+// hash family's emission sequence, so: all records restore, the candidate
+// set equals the batch oracle, every cursor restarts at zero, exactly one
+// warning is logged, and the full drain redelivers everything delivered
+// before the upgrade (at-least-once). Returns the restored collection's
+// group stats, taken before the redelivery drain.
+func restoreLegacyManifest(t *testing.T, version int, rewrite func(m map[string]any)) []ConsumerStats {
+	t.Helper()
+	d, rows := coraFixture(t, 120)
+	spec := baseSpec(fmt.Sprintf("v%dcompat", version), 2)
 	dir := t.TempDir()
-	c, err := newCollection(baseSpec("v1compat", 2))
+	c, err := newCollection(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Ingest(rows); err != nil {
 		t.Fatal(err)
 	}
-	drained := c.Candidates() // advance the in-memory cursor past zero
-	if len(drained) == 0 {
+	delivered := c.Candidates() // the default cursor moves past zero
+	if len(delivered) == 0 {
 		t.Fatal("nothing drained; fixture too small")
+	}
+	if _, err := c.CreateConsumer("etl", false); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetWebhook("etl", &WebhookSpec{URL: "http://127.0.0.1:9/hook", MaxRetries: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.DrainConsumer("etl", func(ConsumerBatch) error { return nil }); err != nil || n == 0 {
+		t.Fatalf("etl drain acknowledged %d pairs, err %v", n, err)
 	}
 	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
 
-	// Rewrite the manifest as v1: no drained fields anywhere.
 	path := filepath.Join(dir, manifestFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -279,18 +296,12 @@ func TestManifestV1Compat(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	m["version"] = 1
-	delete(m, "drained")
-	if segs, ok := m["segments"].([]any); ok {
-		for _, s := range segs {
-			delete(s.(map[string]any), "drained")
-		}
-	}
-	v1, err := json.Marshal(m)
-	if err != nil {
+	m["version"] = version
+	rewrite(m)
+	if raw, err = json.Marshal(m); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -299,30 +310,80 @@ func TestManifestV1Compat(t *testing.T) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 	}
 	defer func() { warnf = slogWarnf }()
-
 	restored, err := LoadCollection(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// v1 has no cursor: the drain restarts from the full rebuilt set.
-	if got := restored.Candidates(); len(got) != restored.PairCount() {
-		t.Fatalf("v1 restore drained %d pairs, want the full %d", len(got), restored.PairCount())
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "every cursor restarts at zero") {
+		t.Errorf("v%d load produced warnings %q, want exactly one about the cursor reset", version, warnings)
 	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "drain cursor") {
-		t.Errorf("v1 load produced warnings %q, want one mentioning the drain cursor", warnings)
+	if restored.Len() != len(rows) {
+		t.Fatalf("v%d restore holds %d records, want %d", version, restored.Len(), len(rows))
+	}
+	stats := restored.Consumers()
+	for _, st := range stats {
+		if st.Cursor != 0 {
+			t.Errorf("v%d restore left group %q at cursor %d, want 0", version, st.Group, st.Cursor)
+		}
 	}
 
-	// A version newer than this build reads is rejected.
-	m["version"] = manifestVersion + 1
-	future, err := json.Marshal(m)
+	cfg, err := spec.buildConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, future, 0o644); err != nil {
+	blocker, err := lsh.New(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCollection(dir); err == nil {
-		t.Error("future manifest version accepted")
+	batch, err := blocker.Block(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batch.CandidatePairs()
+	got := record.NewPairSet(0)
+	for _, p := range restored.Candidates() {
+		got.AddPair(p)
+	}
+	if got.Len() != want.Len() || got.Intersect(want) != want.Len() {
+		t.Fatalf("v%d restore drained %d pairs, batch Block has %d (overlap %d)",
+			version, got.Len(), want.Len(), got.Intersect(want))
+	}
+	for _, p := range delivered {
+		if _, ok := got[p]; !ok {
+			t.Fatalf("v%d restore lost pair (%d,%d), delivered before the upgrade, instead of redelivering it",
+				version, p.Left(), p.Right())
+		}
+	}
+	return stats
+}
+
+// onlyDefaultGroup asserts a restore invented no named groups.
+func onlyDefaultGroup(t *testing.T, stats []ConsumerStats) {
+	t.Helper()
+	if len(stats) != 1 || stats[0].Group != DefaultConsumer {
+		t.Errorf("restore has groups %+v, want only %q", stats, DefaultConsumer)
+	}
+}
+
+// TestManifestV1Compat loads a v1 directory (no cursor fields at all)
+// through the legacy path. Future versions are rejected.
+func TestManifestV1Compat(t *testing.T) {
+	onlyDefaultGroup(t, restoreLegacyManifest(t, 1, func(m map[string]any) {
+		delete(m, "drained")
+		delete(m, "consumers")
+		for _, s := range m["segments"].([]any) {
+			delete(s.(map[string]any), "drained")
+		}
+	}))
+
+	// A version newer than this build reads is rejected.
+	dir := t.TempDir()
+	future := fmt.Sprintf(`{"version": %d}`, manifestVersion+1)
+	if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(future), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCollection(dir); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Errorf("future manifest version: err %v, want a version error", err)
 	}
 }
 
@@ -438,85 +499,25 @@ func TestServerRestoreOnBoot(t *testing.T) {
 	}
 }
 
-// TestManifestV3Compat mirrors TestManifestV1Compat for the v3 -> v4
-// transition: a v3 manifest has a single "drained" cursor and no
-// "consumers" array. Loading one must migrate the cursor onto the default
-// consumer group — the drained prefix is never redelivered — and must not
-// invent any named groups.
+// TestManifestV3Compat: a v2/v3 manifest carries one scalar "drained"
+// cursor and no "consumers" array. The cursor is dropped, not migrated onto
+// the default group, and no named groups appear.
 func TestManifestV3Compat(t *testing.T) {
-	_, rows := coraFixture(t, 120)
-	dir := t.TempDir()
-	c, err := newCollection(baseSpec("v3compat", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Ingest(rows); err != nil {
-		t.Fatal(err)
-	}
-	drained := c.Candidates() // advance the default cursor past zero
-	if len(drained) == 0 {
-		t.Fatal("nothing drained; fixture too small")
-	}
-	// A named group the v3 downgrade below must erase: the declared version
-	// decides what fields mean, so a stale "consumers" array in an older
-	// manifest is ignored.
-	if _, err := c.CreateConsumer("lagging", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Save(dir); err != nil {
-		t.Fatal(err)
-	}
+	onlyDefaultGroup(t, restoreLegacyManifest(t, 3, func(m map[string]any) {
+		m["drained"] = 17
+		delete(m, "consumers")
+	}))
+}
 
-	// Rewrite the manifest as v3: the scalar drained cursor carries the
-	// default group's position (in v4 it is the min across groups — zero
-	// here, because "lagging" never drained). The stale "consumers" field is
-	// left in place: the declared version decides what fields mean, so a v3
-	// loader must ignore it.
-	path := filepath.Join(dir, manifestFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+// TestManifestV4Compat: a v4 manifest has the current layout under the
+// previous hash family. Its groups and their webhook sinks survive; their
+// cursors do not.
+func TestManifestV4Compat(t *testing.T) {
+	stats := restoreLegacyManifest(t, 4, func(map[string]any) {})
+	if len(stats) != 2 || stats[0].Group != DefaultConsumer || stats[1].Group != "etl" {
+		t.Fatalf("v4 restore has groups %+v, want %q and etl", stats, DefaultConsumer)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["version"] = 3
-	m["drained"] = len(drained)
-	v3, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, v3, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var warnings []string
-	warnf = func(format string, args ...any) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-	}
-	defer func() { warnf = slogWarnf }()
-
-	restored, err := LoadCollection(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The single v3 cursor became the default group's; no named groups.
-	stats := restored.Consumers()
-	if len(stats) != 1 || stats[0].Group != DefaultConsumer {
-		t.Fatalf("v3 restore has groups %+v, want only %q", stats, DefaultConsumer)
-	}
-	if stats[0].Cursor != len(drained) {
-		t.Fatalf("v3 restore put the default cursor at %d, checkpoint drained %d", stats[0].Cursor, len(drained))
-	}
-	// The remaining drain picks up exactly where v3's cursor left off.
-	rest := restored.Candidates()
-	if len(drained)+len(rest) != restored.PairCount() {
-		t.Fatalf("v3 restore redelivers: %d drained + %d after restore != %d emitted",
-			len(drained), len(rest), restored.PairCount())
-	}
-	// A clean v3 load is silent — the migration is lossless, unlike v1's.
-	if len(warnings) != 0 {
-		t.Errorf("v3 load produced warnings %q, want none", warnings)
+	if w := stats[1].Webhook; w == nil || w.URL != "http://127.0.0.1:9/hook" || w.MaxRetries != 3 {
+		t.Errorf("v4 restore dropped the etl webhook spec: %+v", w)
 	}
 }

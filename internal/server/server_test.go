@@ -36,6 +36,14 @@ func doJSON(t *testing.T, client *http.Client, method, url string, body io.Reade
 			t.Fatalf("%s %s: decode response: %v", method, url, err)
 		}
 	}
+	// Read to EOF: the handler has then written its whole response, and the
+	// keep-alive connection is reused, on which the server reads the next
+	// request only after this one's handler — instrumentation included —
+	// has returned. Closing early instead let a test's next request (say,
+	// GET /metrics) overtake the observations of the one before it.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatalf("%s %s: read response: %v", method, url, err)
+	}
 	return resp.StatusCode
 }
 

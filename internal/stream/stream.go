@@ -15,7 +15,7 @@
 // (WithTables) can instead attach to one common log via WithSharedLog and
 // ingest through SharedLog.Append + InsertStaged, so the record log is
 // stored exactly once per family and each record's signature stage
-// (q-gram base hashes + semhash, the table-count-independent half of
+// (q-gram shingle hashes + semhash, the table-count-independent half of
 // signing) is computed exactly once — regardless of how many shards
 // consume it. This is the building block of the serving layer's shared-log
 // collections (internal/server), which removes the N+1 record-log/staging
@@ -59,7 +59,7 @@ type Row struct {
 // record.Dataset whose IDs are the global, dense insertion order — plus the
 // staging step of ingestion: Append computes each appended record's
 // lsh.Stage (the shard-independent half of signing: attribute
-// concatenation, q-gram shingling, shingle base hashes, semhash) exactly
+// concatenation, q-gram shingling, shingle hashes, semhash) exactly
 // once on the log's worker pool, no matter how many table-subset Indexers
 // consume the staged batch. Stages are per-batch hand-offs, not retained
 // state: once every shard has filed the batch they are garbage.

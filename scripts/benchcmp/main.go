@@ -4,7 +4,7 @@
 // every bench run, so a perf regression on the candidate-generation hot
 // path fails the pipeline instead of landing silently.
 //
-// Three gates:
+// Four kinds of gate:
 //
 //   - allocs/op regression (-max-regress, percent): allocs/op is
 //     deterministic for a fixed code path — unlike ns/op, it does not vary
@@ -22,6 +22,10 @@
 //     parallel speedup), -alloc-flat enforces that sharding stays
 //     allocation-flat, and -ns-overhead bounds the wall-time cost of an
 //     optional feature (tracing on vs off) as a same-machine ratio.
+//   - custom-metric ceilings (-metric-ceiling): an absolute cap on a
+//     b.ReportMetric value in the current file — the signature kernel's
+//     ns per hash evaluation, which a change of mixer moves by 2-3x while
+//     runner hardware moves it by tens of percent.
 //
 // Usage:
 //
@@ -34,6 +38,7 @@
 //	    [-flat-tolerance 10] \
 //	    [-ns-overhead 'BenchmarkPipelineEndToEndTraced:BenchmarkPipelineEndToEnd'] \
 //	    [-overhead-tolerance 10] \
+//	    [-metric-ceiling 'BenchmarkSignBand/85x252:ns/eval=1.0'] \
 //	    baseline.json current.json
 //
 // Exit status 1 when any gate fails. Benchmarks missing from either side
@@ -62,6 +67,8 @@ type bench struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Metrics are the benchmark's b.ReportMetric values by unit.
+	Metrics map[string]float64 `json:"metrics"`
 }
 
 func load(path string) (map[string]bench, error) {
@@ -119,6 +126,8 @@ func main() {
 	nsOverhead := flag.String("ns-overhead", "BenchmarkPipelineEndToEndTraced:BenchmarkPipelineEndToEnd",
 		"intra-run ns/op overhead pairs 'target:base,...': target ns/op must stay within -overhead-tolerance of base, in the current file ('' disables)")
 	overheadTolerance := flag.Float64("overhead-tolerance", 10, "allowed ns/op excess of an -ns-overhead target over its base, in percent")
+	metricCeiling := flag.String("metric-ceiling", "BenchmarkSignBand/85x252:ns/eval=1.0",
+		"absolute ceilings on custom metrics 'name:unit=max,...' checked against the current file ('' disables)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: benchcmp [flags] baseline.json current.json\n")
 		flag.PrintDefaults()
@@ -149,7 +158,7 @@ func main() {
 	// Gates 1+2: per-benchmark allocs/op and ns/op regression vs baseline.
 	fmt.Printf("%-52s %13s %13s %8s %12s %12s %8s\n",
 		"benchmark", "base allocs", "cur allocs", "delta", "base ns/op", "cur ns/op", "delta")
-	for _, name := range sortedNames(base) {
+	for _, name := range sortedKeys(base) {
 		bb := base[name]
 		cb, ok := cur[name]
 		if !ok {
@@ -175,7 +184,7 @@ func main() {
 		fmt.Printf("%-52s %13.0f %13.0f %+7.1f%% %12.0f %12.0f %+7.1f%%%s\n",
 			name, bb.AllocsPerOp, cb.AllocsPerOp, allocDelta, bb.NsPerOp, cb.NsPerOp, nsDelta, mark)
 	}
-	for _, name := range sortedNames(cur) {
+	for _, name := range sortedKeys(cur) {
 		if _, ok := base[name]; !ok {
 			fmt.Printf("%-52s %13s %13.0f\n", name, "new", cur[name].AllocsPerOp)
 		}
@@ -242,7 +251,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchcmp:", err)
 			os.Exit(2)
 		}
-		for _, name := range sortedNames(cur) {
+		for _, name := range sortedKeys(cur) {
 			max, ok := ceilings[name]
 			if !ok {
 				continue
@@ -286,6 +295,34 @@ func main() {
 		}
 	}
 
+	// Gate 7: absolute ceilings on custom metrics in the current file. The
+	// signature kernel's ns/eval is the one in use: the one-multiply family
+	// runs at ~0.55, a two-multiply mixer at ~1.5, so a ceiling between them
+	// holds on any runner and catches the kernel quietly growing back.
+	if *metricCeiling != "" {
+		ceilings, err := parseTolerances(*metricCeiling)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchcmp:", err)
+			os.Exit(2)
+		}
+		for _, key := range sortedKeys(ceilings) {
+			name, unit, ok := strings.Cut(key, ":")
+			if !ok {
+				fmt.Fprintf(os.Stderr, "benchcmp: bad -metric-ceiling entry %q (want name:unit=max)\n", key)
+				os.Exit(2)
+			}
+			v, ok := cur[name].Metrics[unit]
+			if !ok {
+				fmt.Printf("metric-ceiling gate: %s %s not in current file, skipped\n", name, unit)
+				continue
+			}
+			fmt.Printf("metric-ceiling gate: %s %s %.3f (ceiling %.3f)\n", name, unit, v, ceilings[key])
+			if v > ceilings[key] {
+				failures = append(failures, fmt.Sprintf("%s: %s %.3f exceeds the %.3f ceiling", name, unit, v, ceilings[key]))
+			}
+		}
+	}
+
 	if len(failures) > 0 {
 		for _, f := range failures {
 			fmt.Fprintln(os.Stderr, "benchcmp: FAIL:", f)
@@ -305,7 +342,7 @@ func delta(base, cur, limit float64) (float64, bool) {
 	return d, limit > 0 && d > limit
 }
 
-func sortedNames(m map[string]bench) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	names := make([]string, 0, len(m))
 	for n := range m {
 		names = append(names, n)
