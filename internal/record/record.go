@@ -94,6 +94,15 @@ func NewDataset(name string) *Dataset {
 	return &Dataset{Name: name}
 }
 
+// NewDatasetView returns a read-only dataset over a prefix of an append-only
+// record log (records[i].ID == i), without copying: records are immutable
+// once appended and IDs are positions, so the view is observationally a
+// copy. Its capacity is capped at its length, so an Append on the view
+// reallocates instead of writing into the log's backing array.
+func NewDatasetView(name string, records []*Record) *Dataset {
+	return &Dataset{Name: name, records: records[:len(records):len(records)]}
+}
+
 // Append adds a record, assigns its ID, and returns it. The caller retains
 // ownership of the Attrs map; it must not be mutated afterwards.
 func (d *Dataset) Append(entity EntityID, attrs map[string]string) *Record {

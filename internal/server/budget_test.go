@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"reflect"
@@ -32,7 +33,7 @@ func TestResolveBudgetParityShards(t *testing.T) {
 			if _, err := c.Ingest(rows); err != nil {
 				t.Fatal(err)
 			}
-			want, err := c.Resolve(budgetResolveReq())
+			want, err := c.ResolveContext(context.Background(), budgetResolveReq())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,7 +42,7 @@ func TestResolveBudgetParityShards(t *testing.T) {
 			}
 			req := budgetResolveReq()
 			req.Budget = 1 << 40
-			got, err := c.Resolve(req)
+			got, err := c.ResolveContext(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +75,7 @@ func TestResolveBudgetTruncates(t *testing.T) {
 	if _, err := c.Ingest(rows); err != nil {
 		t.Fatal(err)
 	}
-	full, err := c.Resolve(budgetResolveReq())
+	full, err := c.ResolveContext(context.Background(), budgetResolveReq())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestResolveBudgetTruncates(t *testing.T) {
 	if req.Budget == 0 {
 		t.Fatal("fixture too small for a 25% budget")
 	}
-	res, err := c.Resolve(req)
+	res, err := c.ResolveContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestResolveBudgetTruncates(t *testing.T) {
 		"neg-budget":   {Match: budgetResolveReq().Match, Threshold: 0.55, Budget: -1},
 		"neg-deadline": {Match: budgetResolveReq().Match, Threshold: 0.55, DeadlineMS: -5},
 	} {
-		if _, err := c.Resolve(bad); err == nil {
+		if _, err := c.ResolveContext(context.Background(), bad); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

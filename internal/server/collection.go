@@ -179,8 +179,8 @@ func (c *Collection) PairCount() int {
 // shard fills only its own hash tables from the precomputed stages. The
 // shards' freshly discovered collision pairs are merged into the single
 // collection ledger in canonical emission order (record-major,
-// deduplicated, sorted within one record's group) and queued for
-// Candidates.
+// deduplicated, sorted within one record's group) and queued for the
+// consumer groups.
 func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -337,36 +337,23 @@ func (c *Collection) rebuildLedger(consumers []consumerManifest) error {
 }
 
 // Candidates drains and returns the candidate pairs discovered since the
-// previous drain (nil if none) — the collection-level analogue of
-// stream.Indexer.Candidates, with the same exactly-once delivery guarantee
-// under concurrent drains. Across a restart, delivery resumes from the
-// last checkpoint's durable drain cursor: pairs drained before that
-// checkpoint are never redelivered, pairs drained after it are (the
-// checkpoint could not have recorded them). Delivery is therefore
-// exactly-once up to the latest checkpoint and at-least-once only for the
-// window since it; checkpoint after draining to tighten the window.
-// "Drained" means the hand-off the server observed succeeded — for the
-// HTTP endpoint, the response write completing. What happens beyond that
-// observation (a network losing a fully written response) is outside the
-// cursor's reach; a consumer needing end-to-end exactly-once must
-// deduplicate or drive the drain through an acknowledged protocol.
+// previous drain (nil if none) — the in-process convenience over
+// DrainConsumer on the default consumer group, with that path's guarantees:
+// exactly-once under concurrent drains, and across a restart delivery
+// resumes from the last checkpoint's durable cursor (exactly-once up to the
+// latest checkpoint, at-least-once for the window since it; checkpoint after
+// draining to tighten the window). Like every group hand-off it is
+// fail-fast: while another delivery of the default group is in flight (a
+// GET /candidates response write, a connected stream) it returns nil and the
+// pairs stay pending for the next drain.
 func (c *Collection) Candidates() []record.Pair {
-	// Blocking on the default group's busy mutex keeps this pop ordered
-	// against fallible hand-offs: popping around an in-flight delivery
-	// would let later pairs count as delivered while earlier ones are still
-	// undecided, breaking the cursor's prefix invariant. The default group
-	// always exists and is never deleted, so the pointer cannot go stale.
-	g, _ := c.lookupGroup(DefaultConsumer)
-	g.busy.Lock()
-	defer g.busy.Unlock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.emitted[g.cursor-c.emitBase:]
-	if len(out) == 0 {
+	var out []record.Pair
+	// The default group cannot be deleted and the hand-off cannot fail, so
+	// the only error is ErrDrainBusy — reported as "nothing for you now".
+	_, _ = c.DrainConsumer(DefaultConsumer, func(b ConsumerBatch) error {
+		out = b.Pairs
 		return nil
-	}
-	g.cursor += len(out)
-	c.trimLocked()
+	})
 	return out
 }
 
@@ -375,27 +362,6 @@ func (c *Collection) Candidates() []record.Pair {
 // connected stream); the caller should retry after it settles. Busy-ness is
 // per group: two different groups never contend.
 var ErrDrainBusy = errors.New("a candidate drain is already in flight")
-
-// DrainCandidates pops the default group's undelivered window and hands it
-// to deliver (nil is not called on an empty window); if deliver fails, the
-// cursor does not move, so the next drain delivers the same pairs again.
-// Unlike a bare Candidates call, the popped pairs do not count as delivered
-// — the durable cursor a concurrent Save captures excludes them — until
-// deliver returns nil: a checkpoint racing an in-flight delivery can only
-// under-count (redeliver after a crash), never lose a pair whose delivery
-// failed. Deliveries of one group are serialised, which keeps its delivered
-// pairs a prefix of the canonical emission order — the invariant the
-// count-based cursor depends on; rather than queueing behind a slow
-// delivery (deliver may block on a client socket), a concurrent call fails
-// fast with ErrDrainBusy. Use this for hand-offs that can fail mid-way (the
-// HTTP candidates endpoint does); use Candidates when delivery cannot fail.
-// DrainConsumer is the named-group generalisation.
-func (c *Collection) DrainCandidates(deliver func([]record.Pair) error) error {
-	_, err := c.DrainConsumer(DefaultConsumer, func(b ConsumerBatch) error {
-		return deliver(b.Pairs)
-	})
-	return err
-}
 
 // Snapshot materialises the current index as a batch-style block result:
 // the concatenation of the shards' snapshots, equal (up to block order) to
@@ -414,16 +380,14 @@ func (c *Collection) snapshotLocked() *blocking.Result {
 	return blocking.NewResult(c.technique, blocks)
 }
 
-// Dataset returns a copy of the ingested records (IDs preserved), e.g. for
-// evaluating a snapshot against ground truth.
+// Dataset returns the ingested records (IDs preserved) as a read-only
+// point-in-time view of the append-only log, e.g. for evaluating a snapshot
+// against ground truth: no record is copied and later ingests do not show
+// in it. Taken under c.mu so it never includes a half-ingested batch.
 func (c *Collection) Dataset() *record.Dataset {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.datasetCopyLocked()
-}
-
-func (c *Collection) datasetCopyLocked() *record.Dataset {
-	return c.log.DatasetCopy()
+	return record.NewDatasetView(c.spec.Name, c.log.Records())
 }
 
 // MatchAttr weights one attribute in a resolve run (see er.AttrWeight).
@@ -464,20 +428,15 @@ type ResolveRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// Resolve runs the existing blocking→pruning→matching pipeline over a
+// ResolveContext runs the existing blocking→pruning→matching pipeline over a
 // consistent point-in-time view of the collection: the snapshot feeds the
 // pruning and matching stages exactly as a batch run would, so a resolve
 // over a fully ingested collection equals a batch pipeline run over the
 // same records. Ingestion may continue concurrently; it does not affect the
-// running resolve.
-func (c *Collection) Resolve(req ResolveRequest) (*pipeline.Result, error) {
-	return c.ResolveContext(context.Background(), req) //semblock:allow ctxflow compat shim: Resolve is the facade's no-deadline API; HTTP /resolve threads its request context via ResolveContext
-}
-
-// ResolveContext is Resolve under a context: cancellation (the HTTP client
-// going away, or the deadline the handler derives from DeadlineMS)
-// truncates the matching stage instead of failing it. Blocking and pruning
-// always complete; only matching is bounded.
+// running resolve. Cancellation (the HTTP client going away, or the deadline
+// the handler derives from DeadlineMS) truncates the matching stage instead
+// of failing it. Blocking and pruning always complete; only matching is
+// bounded.
 func (c *Collection) ResolveContext(ctx context.Context, req ResolveRequest) (*pipeline.Result, error) {
 	if len(req.Match) == 0 {
 		return nil, fmt.Errorf("server: resolve needs at least one match attribute")
@@ -515,12 +474,15 @@ func (c *Collection) ResolveContext(ctx context.Context, req ResolveRequest) (*p
 	// The snapshot materialisation is this run's real blocking stage (the
 	// pipeline's staticBlocker.Block call is a pointer return), so span it
 	// as "block": traces of a /resolve then show where the wall time went
-	// even though no hash tables are built here.
+	// even though no hash tables are built here. c.mu is held only for what
+	// needs it: the log prefix the snapshot corresponds to (a slice header)
+	// and the snapshot itself.
 	sp := obs.From(ctx).Start(obs.StageBlock)
 	c.mu.Lock()
-	ds := c.datasetCopyLocked()
+	recs := c.log.Records()
 	snap := c.snapshotLocked()
 	c.mu.Unlock()
+	ds := record.NewDatasetView(c.spec.Name, recs)
 	sp.End()
 
 	p, err := pipeline.New(staticBlocker{res: snap}, opts...)

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"semblock/internal/datagen"
 	"semblock/internal/er"
 	"semblock/internal/lsh"
+	"semblock/internal/pipeline"
 	"semblock/internal/record"
 	"semblock/internal/stream"
 )
@@ -197,8 +200,8 @@ func TestCollectionFailedDeliveryRedelivers(t *testing.T) {
 	}
 	var first []record.Pair
 	failed := errors.New("delivery failed")
-	err = c.DrainCandidates(func(pairs []record.Pair) error {
-		first = append([]record.Pair(nil), pairs...)
+	_, err = c.DrainConsumer(DefaultConsumer, func(b ConsumerBatch) error {
+		first = append([]record.Pair(nil), b.Pairs...)
 		return failed
 	})
 	if !errors.Is(err, failed) {
@@ -242,14 +245,15 @@ func TestDrainCandidatesBusy(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- c.DrainCandidates(func(pairs []record.Pair) error {
+		_, err := c.DrainConsumer(DefaultConsumer, func(ConsumerBatch) error {
 			close(inDeliver)
 			<-release
 			return nil
 		})
+		done <- err
 	}()
 	<-inDeliver
-	if err := c.DrainCandidates(func([]record.Pair) error { return nil }); !errors.Is(err, ErrDrainBusy) {
+	if _, err := c.DrainConsumer(DefaultConsumer, func(ConsumerBatch) error { return nil }); !errors.Is(err, ErrDrainBusy) {
 		t.Errorf("concurrent drain returned %v, want ErrDrainBusy", err)
 	}
 	close(release)
@@ -276,7 +280,7 @@ func TestCollectionResolve(t *testing.T) {
 		Match:     []MatchAttr{{Attr: "title", Weight: 0.6}, {Attr: "authors", Weight: 0.4}},
 		Threshold: 0.55,
 	}
-	res, err := c.Resolve(req)
+	res, err := c.ResolveContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +299,7 @@ func TestCollectionResolve(t *testing.T) {
 	}
 
 	// A pruning stage must run and can only shrink the scored pair count.
-	pruned, err := c.Resolve(ResolveRequest{
+	pruned, err := c.ResolveContext(context.Background(), ResolveRequest{
 		Match:     req.Match,
 		Threshold: req.Threshold,
 		Pruning:   &PruneSpec{Scheme: "CBS", Algo: "WEP"},
@@ -309,6 +313,104 @@ func TestCollectionResolve(t *testing.T) {
 	}
 	if pruned.Pruned == nil {
 		t.Error("pruning stage produced no collection")
+	}
+}
+
+// TestDatasetIsPrefixView pins the read path's zero-copy contract: Dataset
+// is a length-capped view of the append-only log, not a copy — stable while
+// ingest continues, sharing the log's records, unable to write into the
+// log's backing array — and a ResolveContext racing ingest equals a batch
+// pipeline run over exactly the prefix it viewed.
+func TestDatasetIsPrefixView(t *testing.T) {
+	d, rows := coraFixture(t, 400)
+	spec := baseSpec("view", 2)
+	c, err := newCollection(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	if _, err := c.Ingest(rows[:n]); err != nil {
+		t.Fatal(err)
+	}
+	view := c.Dataset()
+
+	ingested := make(chan error, 1)
+	go func() {
+		for lo := n; lo < len(rows); lo += 10 {
+			if _, err := c.Ingest(rows[lo : lo+10]); err != nil {
+				ingested <- err
+				return
+			}
+		}
+		ingested <- nil
+	}()
+	req := ResolveRequest{
+		Match:     []MatchAttr{{Attr: "title", Weight: 0.6}, {Attr: "authors", Weight: 0.4}},
+		Threshold: 0.55,
+	}
+	res, err := c.ResolveContext(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ingested; err != nil {
+		t.Fatal(err)
+	}
+
+	if view.Len() != n {
+		t.Fatalf("view taken at %d records has Len %d after ingest continued", n, view.Len())
+	}
+	logRecs := c.log.Records()
+	for i, r := range view.Records() {
+		if r != logRecs[i] {
+			t.Fatalf("view record %d is a copy, not the log's record", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = c.Dataset() }); allocs > 2 {
+		t.Errorf("Dataset allocates %.0f objects per call, want a slice header (<= 2)", allocs)
+	}
+	if got := view.Records(); cap(got) != len(got) {
+		t.Fatalf("view has cap %d > len %d: an Append would write into the log", cap(got), len(got))
+	}
+	next := logRecs[n]
+	view.Append(record.UnknownEntity, map[string]string{"title": "appended to the view"})
+	if c.log.Records()[n] != next {
+		t.Fatal("Append on the view overwrote the log's next record")
+	}
+
+	// The racing resolve saw some ingest-batch boundary m >= n; it must
+	// equal the batch pipeline over the first m records.
+	m := res.Stats.Records
+	if m < n || m > len(rows) || (m-n)%10 != 0 {
+		t.Fatalf("resolve viewed %d records, want a batch boundary in [%d, %d]", m, n, len(rows))
+	}
+	cfg, err := spec.buildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker, err := lsh.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matcher, err := er.NewMatcher([]er.AttrWeight{
+		{Attr: "title", Weight: 0.6}, {Attr: "authors", Weight: 0.4},
+	}, 0.55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pipeline.New(blocker, pipeline.WithMatcher(matcher))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Run(d.Subset(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Matches, want.Matches) {
+		t.Fatalf("resolve over the %d-record view found %d matches, batch run %d (or different pairs)",
+			m, len(res.Matches), len(want.Matches))
+	}
+	if res.Resolution.NumClusters != want.Resolution.NumClusters {
+		t.Errorf("resolve clustered into %d, batch run %d", res.Resolution.NumClusters, want.Resolution.NumClusters)
 	}
 }
 

@@ -489,10 +489,10 @@ func TestDrainCandidatesPanicRequeues(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("panic did not propagate out of DrainCandidates")
+				t.Fatal("panic did not propagate out of DrainConsumer")
 			}
 		}()
-		_ = c.DrainCandidates(func([]record.Pair) error { panic("connection handler died") })
+		_, _ = c.DrainConsumer(DefaultConsumer, func(ConsumerBatch) error { panic("connection handler died") })
 	}()
 	after := c.Stats()
 	if after.PendingPairs != before.PendingPairs {
@@ -502,7 +502,7 @@ func TestDrainCandidatesPanicRequeues(t *testing.T) {
 		t.Fatalf("drain cursor leaked %d pairs through the panicked delivery", after.DrainedPairs)
 	}
 	// The drain slot is free again and a clean delivery succeeds.
-	if err := c.DrainCandidates(func([]record.Pair) error { return nil }); err != nil {
+	if _, err := c.DrainConsumer(DefaultConsumer, func(ConsumerBatch) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats(); got.DrainedPairs != got.Pairs {

@@ -17,15 +17,16 @@ import (
 // advances independently: a slow fraud-alerting webhook and a fast
 // interactive drain share one blocking pass without contending. The cursor
 // of a group only moves when a delivery is acknowledged (the deliver
-// callback returned nil, an explicit ack arrived, or a bare Candidates
-// hand-off completed), so a checkpoint taken at any moment records a cursor
-// no further than the pairs the consumer has actually received — a crash
-// can redeliver the window since the last acknowledged batch, never lose
-// pairs (at-least-once; exactly-once up to the latest checkpoint).
+// callback returned nil or an explicit ack arrived), so a checkpoint taken
+// at any moment records a cursor no further than the pairs the consumer has
+// actually received — a crash can redeliver the window since the last
+// acknowledged batch, never lose pairs (at-least-once; exactly-once up to
+// the latest checkpoint).
 //
 // The "default" group always exists and carries the legacy single-cursor
-// API: GET /candidates, Collection.Candidates and DrainCandidates all read
-// and advance it, so pre-consumer-group clients keep their exact semantics.
+// API: GET /candidates is the default group's drain route and
+// Collection.Candidates is DrainConsumer on it, so pre-consumer-group
+// clients keep their exact semantics through the one delivery path.
 
 // DefaultConsumer is the name of the built-in consumer group that backs the
 // legacy single-cursor candidate API. It exists from collection creation,
@@ -166,15 +167,28 @@ func (c *Collection) unknownConsumer(name string) error {
 	return fmt.Errorf("server: collection %s: %w: %q", c.spec.Name, ErrUnknownConsumer, name)
 }
 
-// lookupGroup resolves a group name to its live group.
-func (c *Collection) lookupGroup(name string) (*consumerGroup, error) {
+// acquire takes the group's delivery slot: look the group up, TryLock its
+// busy mutex (failing fast with ErrDrainBusy instead of queueing behind a
+// slow consumer socket), then re-validate under c.mu that the group was not
+// deleted (or deleted and recreated) in between. On success the caller owns
+// g.busy and must Unlock it; the stats are the group's at acquisition.
+func (c *Collection) acquire(name string) (*consumerGroup, ConsumerStats, error) {
+	c.mu.Lock()
+	g, ok := c.groups[name]
+	c.mu.Unlock()
+	if !ok {
+		return nil, ConsumerStats{}, c.unknownConsumer(name)
+	}
+	if !g.busy.TryLock() {
+		return nil, ConsumerStats{}, fmt.Errorf("server: consumer group %q: %w", name, ErrDrainBusy)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g, ok := c.groups[name]
-	if !ok {
-		return nil, c.unknownConsumer(name)
+	if c.groups[name] != g {
+		g.busy.Unlock()
+		return nil, ConsumerStats{}, c.unknownConsumer(name)
 	}
-	return g, nil
+	return g, c.statsLocked(g), nil
 }
 
 // statsLocked renders one group's stats (caller holds c.mu). The webhook
@@ -299,11 +313,7 @@ func (c *Collection) PeekConsumer(name string) (ConsumerBatch, error) {
 	if !ok {
 		return ConsumerBatch{}, c.unknownConsumer(name)
 	}
-	tail := c.emitted[g.cursor-c.emitBase:]
-	return ConsumerBatch{
-		Group: name, Pairs: tail,
-		Cursor: g.cursor, Next: g.cursor + len(tail), Total: c.totalLocked(),
-	}, nil
+	return c.windowLocked(g), nil
 }
 
 // AckConsumer advances the group cursor to the given absolute position —
@@ -333,16 +343,30 @@ func (c *Collection) AckConsumer(name string, cursor int) (ConsumerStats, error)
 	return c.statsLocked(g), nil
 }
 
-// popLocked pops the group's undelivered window and marks it in flight
-// (caller holds c.mu). The returned slice views the immutable emission log;
-// concurrent appends and trims never mutate it.
-func (c *Collection) popLocked(g *consumerGroup) ConsumerBatch {
+// windowLocked views the group's undelivered window of the emission log as
+// a batch (caller holds c.mu). The slice views the immutable log; concurrent
+// appends and trims never mutate it.
+func (c *Collection) windowLocked(g *consumerGroup) ConsumerBatch {
 	tail := c.emitted[g.cursor-c.emitBase:]
-	g.inflight = len(tail)
 	return ConsumerBatch{
 		Group: g.name, Pairs: tail,
 		Cursor: g.cursor, Next: g.cursor + len(tail), Total: c.totalLocked(),
 	}
+}
+
+// pop pops the group's undelivered window for the slot holder and marks it
+// in flight, returning the emission signal to block on when the window is
+// empty. It re-checks under c.mu that the group is still registered: a
+// deleted group's cursor may sit below the trimmed log.
+func (c *Collection) pop(g *consumerGroup) (ConsumerBatch, <-chan struct{}, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.groups[g.name] != g {
+		return ConsumerBatch{}, nil, c.unknownConsumer(g.name)
+	}
+	batch := c.windowLocked(g)
+	g.inflight = len(batch.Pairs)
+	return batch, c.signal, nil
 }
 
 // settle delivers one popped batch and commits the outcome. The commit runs
@@ -378,24 +402,14 @@ func (c *Collection) settle(g *consumerGroup, batch ConsumerBatch, deliver func(
 // behind a slow consumer socket. Different groups never contend. Returns
 // the number of pairs acknowledged.
 func (c *Collection) DrainConsumer(group string, deliver func(ConsumerBatch) error) (int, error) {
-	g, err := c.lookupGroup(group)
+	g, _, err := c.acquire(group)
 	if err != nil {
 		return 0, err
 	}
-	if !g.busy.TryLock() {
-		return 0, fmt.Errorf("server: consumer group %q: %w", group, ErrDrainBusy)
-	}
 	defer g.busy.Unlock()
-	c.mu.Lock()
-	if c.groups[group] != g {
-		// Deleted (or deleted and recreated) between lookup and lock.
-		c.mu.Unlock()
-		return 0, c.unknownConsumer(group)
-	}
-	batch := c.popLocked(g)
-	c.mu.Unlock()
-	if len(batch.Pairs) == 0 {
-		return 0, nil
+	batch, _, err := c.pop(g)
+	if err != nil || len(batch.Pairs) == 0 {
+		return 0, err
 	}
 	if err := c.settle(g, batch, deliver); err != nil {
 		return 0, err
@@ -428,21 +442,11 @@ type StreamHandlers struct {
 // nil when ctx ends, ErrDrainBusy when the slot is taken, ErrUnknownConsumer
 // when the group does not exist or is deleted mid-stream.
 func (c *Collection) StreamConsumer(ctx context.Context, group string, h StreamHandlers) error {
-	g, err := c.lookupGroup(group)
+	g, st, err := c.acquire(group)
 	if err != nil {
 		return err
 	}
-	if !g.busy.TryLock() {
-		return fmt.Errorf("server: consumer group %q: %w", group, ErrDrainBusy)
-	}
 	defer g.busy.Unlock()
-	c.mu.Lock()
-	if c.groups[group] != g {
-		c.mu.Unlock()
-		return c.unknownConsumer(group)
-	}
-	st := c.statsLocked(g)
-	c.mu.Unlock()
 	if h.Ready != nil {
 		if err := h.Ready(st); err != nil {
 			return err
@@ -455,23 +459,16 @@ func (c *Collection) StreamConsumer(ctx context.Context, group string, h StreamH
 		heartbeat = t.C
 	}
 	for {
-		c.mu.Lock()
-		if c.groups[group] != g {
-			c.mu.Unlock()
-			return c.unknownConsumer(group)
+		batch, wake, err := c.pop(g)
+		if err != nil {
+			return err
 		}
-		batch := c.popLocked(g)
-		wake := c.signal
-		c.mu.Unlock()
 		if len(batch.Pairs) > 0 {
 			if err := c.settle(g, batch, h.Batch); err != nil {
 				return err
 			}
 			continue
 		}
-		c.mu.Lock()
-		g.inflight = 0
-		c.mu.Unlock()
 		select {
 		case <-wake:
 		case <-ctx.Done():
@@ -484,11 +481,11 @@ func (c *Collection) StreamConsumer(ctx context.Context, group string, h StreamH
 	}
 }
 
-// WaitPending blocks until the group has undelivered pairs, any stop
-// channel fires, or max elapses; it reports whether pairs are pending. The
-// webhook delivery workers and the long-poll drain use it to sleep on the
-// emission signal instead of polling.
-func (c *Collection) WaitPending(group string, max time.Duration, stops ...<-chan struct{}) (bool, error) {
+// WaitPending blocks until the group has undelivered pairs, either stop
+// channel fires (nil means "never"), or max elapses; it reports whether
+// pairs are pending. The webhook delivery workers and the long-poll drain
+// use it to sleep on the emission signal instead of polling.
+func (c *Collection) WaitPending(group string, max time.Duration, stop1, stop2 <-chan struct{}) (bool, error) {
 	deadline := time.NewTimer(max)
 	defer deadline.Stop()
 	for {
@@ -504,45 +501,14 @@ func (c *Collection) WaitPending(group string, max time.Duration, stops ...<-cha
 		if pending > 0 {
 			return true, nil
 		}
-		if !waitSignal(wake, deadline.C, stops) {
+		select {
+		case <-wake:
+		case <-deadline.C:
 			return false, nil
-		}
-	}
-}
-
-// waitSignal blocks on the emission signal against a deadline and the stop
-// channels; it reports whether the signal fired (false = stopped or timed
-// out).
-func waitSignal(wake <-chan struct{}, deadline <-chan time.Time, stops []<-chan struct{}) bool {
-	// Fast path for the common stop-channel counts so the reflect-based
-	// select below stays off the serving path.
-	switch len(stops) {
-	case 0:
-		select {
-		case <-wake:
-			return true
-		case <-deadline:
-			return false
-		}
-	case 1:
-		select {
-		case <-wake:
-			return true
-		case <-deadline:
-			return false
-		case <-stops[0]:
-			return false
-		}
-	default:
-		select {
-		case <-wake:
-			return true
-		case <-deadline:
-			return false
-		case <-stops[0]:
-			return false
-		case <-stops[1]:
-			return false
+		case <-stop1:
+			return false, nil
+		case <-stop2:
+			return false, nil
 		}
 	}
 }
@@ -563,19 +529,4 @@ func (c *Collection) SetWebhook(group string, spec *WebhookSpec) error {
 	}
 	g.webhook = spec
 	return nil
-}
-
-// Webhook returns a copy of the group's webhook spec (nil when none).
-func (c *Collection) Webhook(group string) (*WebhookSpec, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	g, ok := c.groups[group]
-	if !ok {
-		return nil, c.unknownConsumer(group)
-	}
-	if g.webhook == nil {
-		return nil, nil
-	}
-	cp := *g.webhook
-	return &cp, nil
 }

@@ -2,12 +2,15 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -444,10 +447,12 @@ func TestConsumerStreamSSE(t *testing.T) {
 }
 
 // TestLegacyCandidatesIsDefaultGroup pins the compatibility contract: the
-// legacy GET /candidates drain IS the default consumer group, so its
-// response shape is unchanged and its cursor shows up in the group listing.
+// legacy GET /candidates drain IS the default consumer group — the same
+// handler as consumers/default/drain — so its response shape is a superset
+// of the old one, ?peek works on it, busy answers go through the shared
+// error path, and its cursor shows up in the group listing.
 func TestLegacyCandidatesIsDefaultGroup(t *testing.T) {
-	_, rows := coraFixture(t, 80)
+	_, rows := coraFixture(t, 120)
 	s, err := New()
 	if err != nil {
 		t.Fatal(err)
@@ -456,24 +461,51 @@ func TestLegacyCandidatesIsDefaultGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Ingest(rows); err != nil {
+	if _, err := c.Ingest(rows[:80]); err != nil {
 		t.Fatal(err)
 	}
 	total := c.PairCount()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	cl := ts.Client()
+	candidates := ts.URL + "/v1/collections/legacy/candidates"
+
+	// A peek on the legacy route reads the window and moves nothing.
+	var peeked struct {
+		Pairs [][2]record.ID `json:"pairs"`
+	}
+	if code := doJSON(t, cl, "GET", candidates+"?peek=true", nil, "", &peeked); code != 200 {
+		t.Fatalf("candidates peek status %d", code)
+	}
+	if len(peeked.Pairs) != total {
+		t.Fatalf("peek returned %d pairs, want %d", len(peeked.Pairs), total)
+	}
+	var cs ConsumerStats
+	if code := doJSON(t, cl, "GET", ts.URL+"/v1/collections/legacy/consumers/default", nil, "", &cs); code != 200 {
+		t.Fatalf("consumers/default status %d", code)
+	}
+	if cs.Cursor != 0 {
+		t.Fatalf("peek on /candidates moved the default cursor to %d", cs.Cursor)
+	}
 
 	var got struct {
 		Pairs        [][2]record.ID `json:"pairs"`
 		Count        int            `json:"count"`
 		EmittedTotal int            `json:"emitted_total"`
+		Cursor       *int           `json:"cursor"`
+		NextCursor   *int           `json:"next_cursor"`
 	}
-	if code := doJSON(t, cl, "GET", ts.URL+"/v1/collections/legacy/candidates", nil, "", &got); code != 200 {
+	if code := doJSON(t, cl, "GET", candidates, nil, "", &got); code != 200 {
 		t.Fatalf("candidates status %d", code)
 	}
 	if got.Count != total || len(got.Pairs) != total || got.EmittedTotal != total {
 		t.Fatalf("legacy drain %d/%d pairs of %d emitted, want all", got.Count, len(got.Pairs), got.EmittedTotal)
+	}
+	if !reflect.DeepEqual(got.Pairs, peeked.Pairs) {
+		t.Fatal("the destructive drain returned different pairs than the peek before it")
+	}
+	if got.Cursor == nil || got.NextCursor == nil || *got.Cursor != 0 || *got.NextCursor != total {
+		t.Fatalf("legacy drain cursor/next_cursor = %v/%v, want 0/%d", got.Cursor, got.NextCursor, total)
 	}
 	st, err := c.ConsumerStat(DefaultConsumer)
 	if err != nil {
@@ -481,5 +513,151 @@ func TestLegacyCandidatesIsDefaultGroup(t *testing.T) {
 	}
 	if st.Cursor != total || st.Pending != 0 {
 		t.Fatalf("default group after the legacy drain: %+v, want cursor %d", st, total)
+	}
+
+	// An empty drain still encodes an array, never null.
+	resp, err := cl.Get(candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(`"pairs":[]`)) || !bytes.Contains(raw, []byte(`"count":0`)) {
+		t.Fatalf("empty legacy drain body %s, want \"pairs\":[] and \"count\":0", raw)
+	}
+
+	// While a delivery of the default group is parked, /candidates answers
+	// through the shared consumer error path: 503 drain_busy + Retry-After.
+	if _, err := c.Ingest(rows[80:]); err != nil {
+		t.Fatal(err)
+	}
+	if c.PairCount() == total {
+		t.Fatal("second ingest emitted nothing; fixture too small")
+	}
+	inDeliver := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.DrainConsumer(DefaultConsumer, func(ConsumerBatch) error {
+			close(inDeliver)
+			<-release
+			return nil
+		})
+		done <- err
+	}()
+	<-inDeliver
+	resp, err = cl.Get(candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var envelope struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" ||
+		envelope.Error.Code != string(codeDrainBusy) {
+		t.Fatalf("busy /candidates answered %d (Retry-After %q, code %q), want 503 %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), envelope.Error.Code, codeDrainBusy)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("parked drain failed: %v", err)
+	}
+}
+
+// TestWaitPendingHonoursEitherStop pins WaitPending's fixed arity: either
+// stop channel ends the wait, a nil one never fires (the deadline does), and
+// an emission wakes it with pairs pending.
+func TestWaitPendingHonoursEitherStop(t *testing.T) {
+	_, rows := coraFixture(t, 80)
+	c, err := newCollection(baseSpec("wait", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	close(closed)
+	open := make(chan struct{})
+	for name, stops := range map[string][2]<-chan struct{}{
+		"first stop":  {closed, open},
+		"second stop": {open, closed},
+	} {
+		start := time.Now()
+		ok, err := c.WaitPending(DefaultConsumer, time.Minute, stops[0], stops[1])
+		if err != nil || ok {
+			t.Fatalf("%s: WaitPending = %v, %v; want false, nil", name, ok, err)
+		}
+		if time.Since(start) > 30*time.Second {
+			t.Fatalf("%s: the stop channel was ignored until the deadline", name)
+		}
+	}
+	if ok, err := c.WaitPending(DefaultConsumer, 20*time.Millisecond, open, nil); err != nil || ok {
+		t.Fatalf("nil second stop + deadline: WaitPending = %v, %v; want false, nil", ok, err)
+	}
+	woken := make(chan bool, 1)
+	go func() {
+		ok, _ := c.WaitPending(DefaultConsumer, time.Minute, open, nil)
+		woken <- ok
+	}()
+	if _, err := c.Ingest(rows); err != nil {
+		t.Fatal(err)
+	}
+	if c.PairCount() == 0 {
+		t.Fatal("nothing emitted; fixture too small")
+	}
+	if ok := <-woken; !ok {
+		t.Fatal("an emission did not wake WaitPending with pairs pending")
+	}
+}
+
+// failingWriter is a ResponseWriter whose body writes die, as a client
+// hanging up mid-response does.
+type failingWriter struct {
+	header   http.Header
+	statuses []int
+}
+
+func (w *failingWriter) Header() http.Header       { return w.header }
+func (w *failingWriter) WriteHeader(code int)      { w.statuses = append(w.statuses, code) }
+func (w *failingWriter) Write([]byte) (int, error) { return 0, errors.New("connection reset") }
+
+// TestDrainFailedWriteRequeues pins the HTTP half of acknowledged delivery:
+// when the drain response write dies, the cursor does not move, the pairs
+// come back on the next drain, and the handler does not stack an error
+// envelope on top of the headers it already sent.
+func TestDrainFailedWriteRequeues(t *testing.T) {
+	_, rows := coraFixture(t, 80)
+	s, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Create(baseSpec("deadwrite", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest(rows); err != nil {
+		t.Fatal(err)
+	}
+	w := &failingWriter{header: http.Header{}}
+	s.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/collections/deadwrite/candidates", nil))
+	if len(w.statuses) != 1 || w.statuses[0] != http.StatusOK {
+		t.Fatalf("failed write produced statuses %v, want the one 200 already sent", w.statuses)
+	}
+	st, err := c.ConsumerStat(DefaultConsumer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cursor != 0 || st.Inflight != 0 || st.Pending != c.PairCount() {
+		t.Fatalf("after the failed write: %+v, want every pair pending again", st)
+	}
+	if got := len(c.Candidates()); got != c.PairCount() {
+		t.Fatalf("next drain delivered %d pairs, want all %d", got, c.PairCount())
 	}
 }

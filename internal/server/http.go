@@ -28,8 +28,8 @@ import (
 //	POST   /v1/collections/{name}/records      ingest: one JSON row, a JSON
 //	                                           array of rows, or JSONL bulk
 //	                                           (Content-Type: application/x-ndjson)
-//	GET    /v1/collections/{name}/candidates   incremental candidate drain
-//	                                           (the default consumer group)
+//	GET    /v1/collections/{name}/candidates   alias of consumers/default/drain
+//	                                           (same handler, ?peek and ?wait too)
 //	GET    /v1/collections/{name}/snapshot     batch-parity block collection
 //	POST   /v1/collections/{name}/resolve      pruning+matching pipeline run
 //	POST   /v1/collections/{name}/checkpoint   force a persistence checkpoint
@@ -84,7 +84,7 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/collections/{name}", s.withCollection(s.handleStats))
 	handle("DELETE /v1/collections/{name}", s.handleDelete)
 	handle("POST /v1/collections/{name}/records", s.withCollection(s.handleIngest))
-	handle("GET /v1/collections/{name}/candidates", s.withCollection(s.handleCandidates))
+	handle("GET /v1/collections/{name}/candidates", s.withCollection(s.handleConsumerDrain))
 	handle("GET /v1/collections/{name}/snapshot", s.withCollection(s.handleSnapshot))
 	handle("POST /v1/collections/{name}/resolve", s.withCollection(s.handleResolve))
 	handle("POST /v1/collections/{name}/checkpoint", s.withCollection(s.handleCheckpoint))
@@ -324,61 +324,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, c *Collect
 	s.writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "count": len(ids)})
 }
 
-func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request, c *Collection) {
-	s.metrics.candidateQueries.Add(1)
-	traceID := obs.From(r.Context()).ID()
-	drainStart := time.Now()
-	// A drain is destructive, so it runs through DrainCandidates: if the
-	// response write dies mid-stream the pairs are requeued for the next
-	// drain, and while the write is in flight they are excluded from the
-	// durable drain cursor a concurrent checkpoint would capture. Across a
-	// process restart, delivery resumes from the last checkpoint's cursor —
-	// exactly-once for pairs acknowledged before the checkpoint,
-	// at-least-once for the window since it (see Collection.Candidates).
-	// The acknowledgment is the server-side write completing: a response
-	// that the network loses after a complete write is still gone, the
-	// inherent limit of an ack-less GET (a client-committed cursor protocol
-	// would be needed to close it).
-	delivered := 0
-	err := c.DrainCandidates(func(pairs []record.Pair) error {
-		out := make([][2]record.ID, len(pairs))
-		for i, p := range pairs {
-			out[i] = [2]record.ID{p.Left(), p.Right()}
-		}
-		delivered = len(pairs)
-		resp := map[string]any{
-			"pairs": out, "count": len(out), "emitted_total": c.PairCount(),
-		}
-		if traceID != "" {
-			resp["trace_id"] = traceID
-		}
-		return s.writeJSON(w, http.StatusOK, resp)
-	})
-	if errors.Is(err, ErrDrainBusy) {
-		// Another drain's response write is still in flight; its pairs are
-		// spoken for, so queueing behind it would only tie up a handler.
-		w.Header().Set("Retry-After", "1")
-		s.httpError(w, r, http.StatusServiceUnavailable, codeDrainBusy, err)
-		return
-	}
-	if err != nil {
-		return
-	}
-	if delivered == 0 {
-		// Empty queue: DrainCandidates skips the callback; still answer.
-		resp := map[string]any{
-			"pairs": [][2]record.ID{}, "count": 0, "emitted_total": c.PairCount(),
-		}
-		if traceID != "" {
-			resp["trace_id"] = traceID
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	s.metrics.drainDur.Observe(time.Since(drainStart))
-	s.metrics.drainedPairs.Add(int64(delivered))
-}
-
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request, c *Collection) {
 	s.metrics.snapshotQueries.Add(1)
 	res := c.Snapshot()
@@ -535,28 +480,22 @@ func (s *Server) consumerError(w http.ResponseWriter, r *http.Request, err error
 	}
 }
 
-// consumerBatchBody renders one drained batch as the drain/stream wire shape.
-func consumerBatchBody(b ConsumerBatch, traceID string) map[string]any {
-	out := make([][2]record.ID, len(b.Pairs))
-	for i, p := range b.Pairs {
+// wirePairs renders pairs in the wire's [[left,right],...] shape — the one
+// encoder behind the drain body, the SSE frame and the webhook payload. The
+// result is never nil, so an empty window encodes "pairs": [].
+func wirePairs(pairs []record.Pair) [][2]record.ID {
+	out := make([][2]record.ID, len(pairs))
+	for i, p := range pairs {
 		out[i] = [2]record.ID{p.Left(), p.Right()}
 	}
-	body := map[string]any{
-		"group": b.Group, "pairs": out, "count": len(out),
-		"cursor": b.Cursor, "next_cursor": b.Next, "emitted_total": b.Total,
-	}
-	if traceID != "" {
-		body["trace_id"] = traceID
-	}
-	return body
+	return out
 }
 
-// emptyBatchBody is the drain answer when the group has nothing pending: the
-// same shape as a real batch, with cursor == next_cursor and no pairs.
-func emptyBatchBody(st ConsumerStats, traceID string) map[string]any {
+// consumerBatchBody renders one drained batch as the drain/stream wire shape.
+func consumerBatchBody(b ConsumerBatch, traceID string) map[string]any {
 	body := map[string]any{
-		"group": st.Group, "pairs": [][2]record.ID{}, "count": 0,
-		"cursor": st.Cursor, "next_cursor": st.Cursor, "emitted_total": st.EmittedTotal,
+		"group": b.Group, "pairs": wirePairs(b.Pairs), "count": len(b.Pairs),
+		"cursor": b.Cursor, "next_cursor": b.Next, "emitted_total": b.Total,
 	}
 	if traceID != "" {
 		body["trace_id"] = traceID
@@ -664,13 +603,21 @@ func (s *Server) handleConsumerAck(w http.ResponseWriter, r *http.Request, c *Co
 	s.writeJSON(w, http.StatusOK, st)
 }
 
-// handleConsumerDrain hands the group's pending window to the caller.
+// handleConsumerDrain hands the group's pending window to the caller; the
+// legacy /candidates route, which has no {group}, is the default group's.
 // ?peek=true reads without advancing the cursor; ?wait=5s long-polls for up
-// to that long (capped at a minute) before answering an empty batch. Like
-// /candidates, a destructive drain only advances the cursor when the
-// response write completes.
+// to that long (capped at a minute) before answering an empty batch. A
+// destructive drain only advances the cursor when the response write
+// completes: a write that dies mid-stream requeues the pairs for the next
+// drain, and while it is in flight they are excluded from the durable cursor
+// a concurrent checkpoint captures. A response the network loses after a
+// complete write is still gone — the inherent limit of an ack-less GET,
+// which peek + ack closes.
 func (s *Server) handleConsumerDrain(w http.ResponseWriter, r *http.Request, c *Collection) {
 	group := r.PathValue("group")
+	if group == "" {
+		group = DefaultConsumer
+	}
 	traceID := obs.From(r.Context()).ID()
 	q := r.URL.Query()
 	if v := q.Get("peek"); v == "true" || v == "1" {
@@ -698,11 +645,13 @@ func (s *Server) handleConsumerDrain(w http.ResponseWriter, r *http.Request, c *
 	deadline := time.Now().Add(wait)
 	for {
 		drainStart := time.Now()
+		wrote := false
 		delivered, err := c.DrainConsumer(group, func(b ConsumerBatch) error {
+			wrote = true
 			return s.writeJSON(w, http.StatusOK, consumerBatchBody(b, traceID))
 		})
 		if err != nil {
-			if delivered > 0 {
+			if wrote {
 				return // response write died mid-stream; headers are gone
 			}
 			s.consumerError(w, r, err)
@@ -720,7 +669,10 @@ func (s *Server) handleConsumerDrain(w http.ResponseWriter, r *http.Request, c *
 				s.consumerError(w, r, serr)
 				return
 			}
-			s.writeJSON(w, http.StatusOK, emptyBatchBody(st, traceID))
+			// Built from the stats, not a peek: a peek taken now could hand
+			// out pairs this answer never acknowledges.
+			empty := ConsumerBatch{Group: st.Group, Cursor: st.Cursor, Next: st.Cursor, Total: st.EmittedTotal}
+			s.writeJSON(w, http.StatusOK, consumerBatchBody(empty, traceID))
 			return
 		}
 		ok, werr := c.WaitPending(group, remaining, r.Context().Done(), s.pushStop)

@@ -13,19 +13,18 @@ import (
 // exposed in Prometheus text format by GET /metrics. Hand-rolled atomics
 // plus the obs package keep the repository dependency-free.
 type metrics struct {
-	requests         atomic.Int64 // every HTTP request routed
-	errors           atomic.Int64 // requests answered with a 4xx/5xx
-	errors4xx        atomic.Int64 // requests answered with a client error
-	errors5xx        atomic.Int64 // requests answered with a server error
-	ingestedRecords  atomic.Int64 // records accepted across all collections
-	ingestBatches    atomic.Int64 // ingest requests accepted
-	drainedPairs     atomic.Int64 // candidate pairs handed out by /candidates
-	candidateQueries atomic.Int64
-	snapshotQueries  atomic.Int64
-	resolveRuns      atomic.Int64
-	checkpoints      atomic.Int64 // collection checkpoints written
-	compactions      atomic.Int64 // segment-chain compactions completed
-	compactedBytes   atomic.Int64 // segment bytes written by compactions
+	requests        atomic.Int64 // every HTTP request routed
+	errors          atomic.Int64 // requests answered with a 4xx/5xx
+	errors4xx       atomic.Int64 // requests answered with a client error
+	errors5xx       atomic.Int64 // requests answered with a server error
+	ingestedRecords atomic.Int64 // records accepted across all collections
+	ingestBatches   atomic.Int64 // ingest requests accepted
+	drainedPairs    atomic.Int64 // candidate pairs handed out by /candidates
+	snapshotQueries atomic.Int64
+	resolveRuns     atomic.Int64
+	checkpoints     atomic.Int64 // collection checkpoints written
+	compactions     atomic.Int64 // segment-chain compactions completed
+	compactedBytes  atomic.Int64 // segment bytes written by compactions
 
 	// Push delivery (consumer groups, see webhook.go and the stream
 	// handlers in http.go).
@@ -87,7 +86,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	counter("semblock_sign_bands_total", "Minhash bands signed by ingest, one per (record, hash table) the record can enter.", m.bandsSigned.Load())
 	counter("semblock_sign_bands_skipped_total", "Minhash bands ingest did not sign because the record's semhash keeps it out of the table.", m.bandsSkipped.Load())
 	counter("semblock_drained_pairs_total", "Candidate pairs handed out by the incremental drain.", m.drainedPairs.Load())
-	counter("semblock_candidate_queries_total", "GET /candidates requests.", m.candidateQueries.Load())
 	counter("semblock_snapshot_queries_total", "GET /snapshot requests.", m.snapshotQueries.Load())
 	counter("semblock_resolve_runs_total", "POST /resolve pipeline runs.", m.resolveRuns.Load())
 	counter("semblock_webhook_deliveries_total", "Webhook batches acknowledged by their sink.", m.webhookDeliveries.Load())

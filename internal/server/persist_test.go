@@ -144,7 +144,7 @@ func TestRestoreDrainCursor(t *testing.T) {
 }
 
 // TestDrainCursorExcludesInflight pins the drain-vs-checkpoint race: a
-// checkpoint taken while a DrainCandidates hand-off is in flight must not
+// checkpoint taken while a DrainConsumer hand-off is in flight must not
 // count the popped pairs as delivered — if the hand-off then fails and the
 // process dies before another checkpoint, the pairs would otherwise be
 // skipped on restore and lost forever.
@@ -159,8 +159,8 @@ func TestDrainCursorExcludesInflight(t *testing.T) {
 		t.Fatal(err)
 	}
 	popped := 0
-	derr := c.DrainCandidates(func(pairs []record.Pair) error {
-		popped = len(pairs)
+	_, derr := c.DrainConsumer(DefaultConsumer, func(b ConsumerBatch) error {
+		popped = len(b.Pairs)
 		// The periodic checkpoint races the in-flight delivery...
 		if err := c.Save(dir); err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestDrainCursorExcludesInflight(t *testing.T) {
 	}
 
 	// A successful delivery does advance the cursor.
-	if err := c.DrainCandidates(func([]record.Pair) error { return nil }); err != nil {
+	if _, err := c.DrainConsumer(DefaultConsumer, func(ConsumerBatch) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Save(dir); err != nil {

@@ -348,18 +348,6 @@ func (s *Server) CompactCollection(c *Collection) (CompactionResult, error) {
 	return res, nil
 }
 
-// Compact compacts the named collection (no-op error without a data dir).
-func (s *Server) Compact(name string) (CompactionResult, error) {
-	if s.dataDir == "" {
-		return CompactionResult{}, fmt.Errorf("server: compaction needs a data dir")
-	}
-	c, ok := s.Collection(name)
-	if !ok {
-		return CompactionResult{}, fmt.Errorf("server: %w: %q", ErrNotFound, name)
-	}
-	return s.CompactCollection(c)
-}
-
 // Collection returns the named collection.
 func (s *Server) Collection(name string) (*Collection, bool) {
 	s.mu.RLock()

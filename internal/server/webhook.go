@@ -121,8 +121,8 @@ func sinkKey(collection, group string) string { return collection + "/" + group 
 // replaced worker is signalled to stop and winds down asynchronously — the
 // group's busy slot keeps the two from ever delivering concurrently.
 func (s *Server) startSink(c *Collection, group string) {
-	spec, err := c.Webhook(group)
-	if err != nil || spec == nil {
+	st, err := c.ConsumerStat(group)
+	if err != nil || st.Webhook == nil {
 		return
 	}
 	s.sinksMu.Lock()
@@ -137,7 +137,7 @@ func (s *Server) startSink(c *Collection, group string) {
 	w := &sinkWorker{stop: make(chan struct{})}
 	s.sinks[key] = w
 	s.sinkWG.Add(1)
-	go s.runSink(c, group, *spec, w)
+	go s.runSink(c, group, *st.Webhook, w)
 }
 
 // startCollectionSinks launches workers for every webhook-carrying group of
@@ -224,7 +224,7 @@ func (s *Server) runSink(c *Collection, group string, spec WebhookSpec, w *sinkW
 			return
 		default:
 		}
-		ok, err := c.WaitPending(group, time.Minute, w.stop)
+		ok, err := c.WaitPending(group, time.Minute, w.stop, nil)
 		if err != nil {
 			return // group deleted
 		}
@@ -280,13 +280,10 @@ func (s *Server) deliverWebhook(client *http.Client, collection, sinkURL string,
 	payload := webhookPayload{
 		Collection: collection,
 		Group:      b.Group,
-		Pairs:      make([][2]record.ID, len(b.Pairs)),
+		Pairs:      wirePairs(b.Pairs),
 		Count:      len(b.Pairs),
 		Cursor:     b.Cursor,
 		NextCursor: b.Next,
-	}
-	for i, p := range b.Pairs {
-		payload.Pairs[i] = [2]record.ID{p.Left(), p.Right()}
 	}
 	body, err := json.Marshal(payload)
 	if err != nil {

@@ -184,22 +184,6 @@ func (l *SharedLog) Records() []*record.Record {
 	return l.dataset.Records()
 }
 
-// DatasetCopy returns a copy of the log as a dataset (IDs preserved), e.g.
-// for evaluating a snapshot against ground truth.
-func (l *SharedLog) DatasetCopy() *record.Dataset {
-	out := record.NewDataset(l.datasetName())
-	for _, r := range l.Records() {
-		out.Append(r.Entity, r.Attrs)
-	}
-	return out
-}
-
-func (l *SharedLog) datasetName() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dataset.Name
-}
-
 // Option customises an Indexer.
 type Option func(*Indexer)
 
@@ -689,10 +673,11 @@ func (ix *Indexer) Snapshot() *blocking.Result {
 	return blocking.NewResult(ix.name, blocks)
 }
 
-// Dataset returns a copy of the backing log's records as a dataset (IDs
-// match the IDs returned by Insert/InsertBatch), e.g. for evaluating a
-// snapshot against ground truth. For a shared-log index this is the full
-// shared log.
+// Dataset returns a read-only view of the backing log's records as a dataset
+// (IDs match the IDs returned by Insert/InsertBatch), e.g. for evaluating a
+// snapshot against ground truth. The view is a point-in-time prefix of the
+// append-only log — no record is copied, and later inserts do not show in
+// it. For a shared-log index this is the full shared log.
 func (ix *Indexer) Dataset() *record.Dataset {
-	return ix.log.DatasetCopy()
+	return record.NewDatasetView(ix.log.dataset.Name, ix.log.Records())
 }

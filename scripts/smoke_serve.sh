@@ -53,12 +53,23 @@ curl -fsS -X POST "$BASE/v1/collections/smoke/records" \
     | grep -q '"count":3'
 
 curl -fsS "$BASE/v1/collections/smoke/candidates" | grep -q '"pairs"'
+# One cursor behind two routes: the legacy drain above moved the default
+# consumer group to the end of the emitted sequence, so the group route has
+# nothing left to hand out.
+DEFAULT="$(curl -fsS "$BASE/v1/collections/smoke/consumers/default")"
+DEF_CURSOR="$(echo "$DEFAULT" | grep -o '"cursor":[0-9]*' | cut -d: -f2)"
+DEF_TOTAL="$(echo "$DEFAULT" | grep -o '"emitted_total":[0-9]*' | cut -d: -f2)"
+test "$DEF_TOTAL" -gt 0 && test "$DEF_CURSOR" = "$DEF_TOTAL" \
+    || { echo "/candidates did not move the default group's cursor: $DEFAULT"; exit 1; }
+curl -fsS "$BASE/v1/collections/smoke/consumers/default/drain" | grep -q '"count":0' \
+    || { echo "consumers/default/drain still had pairs after /candidates"; exit 1; }
 curl -fsS "$BASE/v1/collections/smoke/snapshot" | grep -q '"technique":"lsh"'
 curl -fsS "$BASE/v1/collections/smoke" | grep -q '"records":3'
 # The exposition is large now (histogram families); grab it once — piping
 # straight into `grep -q` makes curl fail with EPIPE under pipefail.
 METRICS="$(curl -fsS "$BASE/metrics")"
 echo "$METRICS" | grep -q '^semblock_ingested_records_total 3'
+echo "$METRICS" | grep -q '^semblock_drained_pairs_total [1-9]' || { echo "the /candidates drain counted no pairs"; exit 1; }
 
 # Observability: every request carries a trace id (header + /debug/traces),
 # and the latency histograms exported on /metrics must have observed the

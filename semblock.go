@@ -61,6 +61,11 @@
 //	pairs := c.Candidates()                 // or GET  .../candidates
 //	http.ListenAndServe(addr, srv.Handler())
 //
+// Candidates (and GET .../candidates) drain the collection's built-in
+// "default" consumer group; further named groups — each a durable cursor
+// into the same pair sequence — are served by DrainConsumer, SSE streams
+// and webhooks.
+//
 // The exported identifiers are aliases of the implementation packages
 // under internal/, so the full documented API of those packages is
 // available through this single import.
@@ -212,13 +217,6 @@ type (
 	Row = stream.Row
 	// IndexerOption customises an Indexer (workers, snapshot name).
 	IndexerOption = stream.Option
-	// SharedLog is the record log + once-per-record signature staging a
-	// family of table-subset Indexers can share, so the log is stored once
-	// and each record is staged once regardless of the shard count.
-	SharedLog = stream.SharedLog
-	// StagedBatch is a mini-batch appended to a SharedLog, ready for
-	// Indexer.InsertStaged on every attached shard.
-	StagedBatch = stream.StagedBatch
 )
 
 // NewIndexer builds an empty streaming index for an (SA-)LSH configuration.
@@ -226,18 +224,10 @@ func NewIndexer(cfg Config, opts ...IndexerOption) (*Indexer, error) {
 	return stream.NewIndexer(cfg, opts...)
 }
 
-// NewSharedLog builds an empty shared record log; attach table-subset
-// Indexers with WithSharedLog (their configuration must match the log's).
-func NewSharedLog(name string, cfg Config, workers int) (*SharedLog, error) {
-	return stream.NewSharedLog(name, cfg, workers)
-}
-
 // Indexer options.
 var (
-	WithWorkers       = stream.WithWorkers
-	WithIndexerName   = stream.WithName
-	WithIndexerTables = stream.WithTables
-	WithSharedLog     = stream.WithSharedLog
+	WithWorkers     = stream.WithWorkers
+	WithIndexerName = stream.WithName
 )
 
 // Collision-probability model of §5.1–§5.2.
