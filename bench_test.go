@@ -21,7 +21,6 @@ import (
 	"semblock"
 	"semblock/internal/datagen"
 	"semblock/internal/experiments"
-	"semblock/internal/lsh"
 	"semblock/internal/obs"
 )
 
@@ -478,73 +477,6 @@ func BenchmarkPipelineBudget(b *testing.B) {
 }
 
 // --- Ablation benches (DESIGN.md §4) ------------------------------------
-
-// BenchmarkAblationSemPlacement compares the paper's per-table random
-// semantic-function choice with a single global choice reused by every
-// table. The quality difference is reported as pc/pq metrics.
-func BenchmarkAblationSemPlacement(b *testing.B) {
-	d, schema := coraFixture(b)
-	for _, global := range []bool{false, true} {
-		name := "per-table"
-		if global {
-			name = "global"
-		}
-		b.Run(name, func(b *testing.B) {
-			blk, err := semblock.New(semblock.Config{
-				Attrs: []string{"authors", "title"}, Q: 4, K: 4, L: 63, Seed: 1,
-				Semantic: &semblock.SemanticOption{Schema: schema, W: 3, Mode: semblock.ModeOR, GlobalBits: global},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var pc, pq float64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := blk.Block(d)
-				if err != nil {
-					b.Fatal(err)
-				}
-				m, err := semblock.Evaluate(res, d)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pc, pq = m.PC, m.PQ
-			}
-			b.ReportMetric(pc, "pc")
-			b.ReportMetric(pq, "pq")
-		})
-	}
-}
-
-// BenchmarkAblationORStrategy compares the two OR implementations
-// (bucket-per-bit vs post-filter), which produce identical pairs at
-// different constant factors.
-func BenchmarkAblationORStrategy(b *testing.B) {
-	d, schema := coraFixture(b)
-	for _, strat := range []lsh.ORStrategy{lsh.BucketPerBit, lsh.PostFilter} {
-		name := "bucket-per-bit"
-		if strat == lsh.PostFilter {
-			name = "post-filter"
-		}
-		b.Run(name, func(b *testing.B) {
-			blk, err := semblock.New(semblock.Config{
-				Attrs: []string{"authors", "title"}, Q: 4, K: 4, L: 63, Seed: 1,
-				Semantic: &semblock.SemanticOption{Schema: schema, W: 3, Mode: semblock.ModeOR, ORStrategy: strat},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := blk.Block(d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationShingleQ measures how the shingle size interacts with
 // blocking cost (signature computation dominates; larger q means fewer,

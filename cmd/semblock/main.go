@@ -49,11 +49,8 @@
 //	semblock compact -data-dir /var/lib/semblock            # all collections
 //	semblock compact -data-dir /var/lib/semblock -collection pubs
 //
-// The "bench serve" subcommand runs the serving-layer load harness: it
-// ingests a synthetic corpus into one in-process collection in mini-batches
-// and reports ingest throughput plus batch/drain latency quantiles:
-//
-//	semblock bench serve -records 1000000 -batch 1024 -shards 4
+// The "tail" subcommand prints a consumer group's candidate stream (SSE) as
+// "left,right" lines. Load runs live in the bench/ module (bench/README.md).
 package main
 
 import (
@@ -76,70 +73,94 @@ import (
 
 	"semblock"
 	"semblock/internal/datagen"
-	"semblock/internal/experiments"
 	"semblock/internal/lsh"
+	"semblock/internal/metablocking"
 	"semblock/internal/obs"
 	"semblock/internal/record"
 )
 
+// subcommands maps the first command-line word to its implementation; flags
+// alone run the default batch blocker (runBlock).
+var subcommands = map[string]func(args []string) error{
+	"stream":   runStream,
+	"pipeline": runPipeline,
+	"serve":    runServe,
+	"compact":  runCompact,
+	"tail":     runTail,
+}
+
 func main() {
-	var err error
-	switch {
-	case len(os.Args) > 1 && os.Args[1] == "stream":
-		err = runStream(os.Args[2:])
-	case len(os.Args) > 1 && os.Args[1] == "pipeline":
-		err = runPipeline(os.Args[2:])
-	case len(os.Args) > 1 && os.Args[1] == "serve":
-		err = runServe(os.Args[2:])
-	case len(os.Args) > 1 && os.Args[1] == "compact":
-		err = runCompact(os.Args[2:])
-	case len(os.Args) > 1 && os.Args[1] == "tail":
-		err = runTail(os.Args[2:])
-	case len(os.Args) > 2 && os.Args[1] == "bench" && os.Args[2] == "serve":
-		err = runBenchServe(os.Args[3:])
-	default:
-		err = run()
-	}
-	if err != nil {
+	if err := dispatch(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "semblock:", err)
 		os.Exit(1)
 	}
 }
 
-// runBenchServe implements the "bench serve" subcommand: the serving-layer
-// load harness. It ingests a synthetic corpus into one in-process collection
-// in mini-batches — exercising the shared-log staging, per-shard table
-// builds, striped pair dedup and candidate drains the HTTP ingest path runs
-// — and reports ingest throughput plus batch/drain latency quantiles:
-//
-//	semblock bench serve -records 1000000 -batch 1024 -shards 4
-func runBenchServe(args []string) error {
-	fs := flag.NewFlagSet("semblock bench serve", flag.ExitOnError)
-	var (
-		records    = fs.Int("records", 1_000_000, "records to ingest")
-		batch      = fs.Int("batch", 1024, "records per ingest batch")
-		shards     = fs.Int("shards", 4, "table-shard count of the collection")
-		workers    = fs.Int("workers", 0, "signature worker pool cap (0 = runtime default)")
-		drainEvery = fs.Int("drain-every", 1, "drain candidates every N batches (<0 = only at the end)")
-		seed       = fs.Int64("seed", 1, "synthetic corpus seed")
-		quiet      = fs.Bool("quiet", false, "suppress progress lines")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
+// dispatch runs the subcommand the arguments name. A first argument that is
+// not a flag must be a subcommand: sending a mistyped one to the default
+// blocker would answer "pass -input FILE" to "semblock serv".
+func dispatch(args []string) error {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return runBlock(args)
 	}
-	cfg := experiments.LoadConfig{
-		Records: *records, Batch: *batch, Shards: *shards,
-		Workers: *workers, DrainEvery: *drainEvery, Seed: *seed,
+	run, ok := subcommands[args[0]]
+	if !ok {
+		return fmt.Errorf("unknown subcommand %q (want stream, pipeline, serve, compact or tail; flags alone run the batch blocker)", args[0])
 	}
-	if !*quiet {
-		cfg.Progress = func(s string) { fmt.Fprintln(os.Stderr, "bench serve:", s) }
-	}
-	res, err := experiments.LoadBench(cfg)
+	return run(args[1:])
+}
+
+// blockFlags are the dataset and blocking-configuration flags the default,
+// stream and pipeline subcommands share.
+type blockFlags struct {
+	input, demo, attrs string
+	q, k, l, w         int
+	mode, semantic     string
+	seed               int64
+	workers            int // bound to -workers by the subcommands that have one
+}
+
+// register declares the shared flags on fs.
+func (f *blockFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.input, "input", "", "input CSV (header row; optional entity_id column)")
+	fs.StringVar(&f.demo, "demo", "", "generate a synthetic dataset instead: 'cora' or 'voter'")
+	fs.StringVar(&f.attrs, "attrs", "", "comma-separated blocking attributes")
+	fs.IntVar(&f.q, "q", 2, "q-gram size")
+	fs.IntVar(&f.k, "k", 4, "minhash functions per hash table")
+	fs.IntVar(&f.l, "l", 16, "number of hash tables")
+	fs.IntVar(&f.w, "w", 0, "w-way semantic hash width (0 = half the signature bits)")
+	fs.StringVar(&f.mode, "mode", "or", "w-way composition: 'and' or 'or'")
+	fs.StringVar(&f.semantic, "semantic", "", "semantic function: '', 'cora' or 'voter'")
+	fs.Int64Var(&f.seed, "seed", 1, "random seed")
+}
+
+// config loads the dataset the parsed flags name and builds the blocking
+// configuration over it. For SA-LSH the semhash schema is fixed up front from
+// the full dataset — in streaming runs the analogue of deriving it from a
+// reference sample.
+func (f *blockFlags) config() (*record.Dataset, semblock.Config, error) {
+	mode, err := lsh.ParseMode(f.mode)
 	if err != nil {
-		return err
+		return nil, semblock.Config{}, err
 	}
-	fmt.Println(res)
-	return nil
+	d, attrs, err := loadDataset(f.input, f.demo)
+	if err != nil {
+		return nil, semblock.Config{}, err
+	}
+	if f.attrs != "" {
+		attrs = strings.Split(f.attrs, ",")
+	}
+	if len(attrs) == 0 {
+		return nil, semblock.Config{}, fmt.Errorf("no blocking attributes: pass -attrs")
+	}
+	cfg := semblock.Config{Attrs: attrs, Q: f.q, K: f.k, L: f.l, Seed: f.seed, Workers: f.workers}
+	if f.semantic != "" {
+		cfg.Semantic, err = semanticOption(f.semantic, d, f.w, mode)
+		if err != nil {
+			return nil, semblock.Config{}, err
+		}
+	}
+	return d, cfg, nil
 }
 
 // runServe implements the "serve" subcommand: the long-lived multi-tenant
@@ -433,41 +454,19 @@ func runTail(args []string) error {
 	return nil
 }
 
-func run() error {
-	var (
-		input    = flag.String("input", "", "input CSV (header row; optional entity_id column)")
-		demo     = flag.String("demo", "", "generate a synthetic dataset instead: 'cora' or 'voter'")
-		attrsArg = flag.String("attrs", "", "comma-separated blocking attributes")
-		q        = flag.Int("q", 2, "q-gram size")
-		k        = flag.Int("k", 4, "minhash functions per hash table")
-		l        = flag.Int("l", 16, "number of hash tables")
-		w        = flag.Int("w", 0, "w-way semantic hash width (0 = half the signature bits)")
-		mode     = flag.String("mode", "or", "w-way composition: 'and' or 'or'")
-		sem      = flag.String("semantic", "", "semantic function: '', 'cora' or 'voter'")
-		seed     = flag.Int64("seed", 1, "random seed")
-		pairs    = flag.Bool("pairs", false, "print candidate pairs instead of a summary")
-	)
-	flag.Parse()
-
-	d, defaults, err := loadDataset(*input, *demo)
-	if err != nil {
+// runBlock implements the default subcommand: one batch Block call over the
+// dataset, printing quality metrics or the candidate pairs.
+func runBlock(args []string) error {
+	fs := flag.NewFlagSet("semblock", flag.ExitOnError)
+	var bf blockFlags
+	bf.register(fs)
+	pairs := fs.Bool("pairs", false, "print candidate pairs instead of a summary")
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	attrs := defaults
-	if *attrsArg != "" {
-		attrs = strings.Split(*attrsArg, ",")
-	}
-	if len(attrs) == 0 {
-		return fmt.Errorf("no blocking attributes: pass -attrs")
-	}
-
-	cfg := semblock.Config{Attrs: attrs, Q: *q, K: *k, L: *l, Seed: *seed}
-	if *sem != "" {
-		opt, err := semanticOption(*sem, d, *w, *mode)
-		if err != nil {
-			return err
-		}
-		cfg.Semantic = opt
+	d, cfg, err := bf.config()
+	if err != nil {
+		return err
 	}
 	b, err := semblock.New(cfg)
 	if err != nil {
@@ -505,55 +504,24 @@ func run() error {
 // arriving from a live source.
 func runStream(args []string) error {
 	fs := flag.NewFlagSet("semblock stream", flag.ExitOnError)
+	var bf blockFlags
+	bf.register(fs)
+	fs.IntVar(&bf.workers, "workers", 0, "signature workers / bucket shards (0 = GOMAXPROCS)")
 	var (
-		input    = fs.String("input", "", "input CSV (header row; optional entity_id column)")
-		demo     = fs.String("demo", "", "generate a synthetic dataset instead: 'cora' or 'voter'")
-		attrsArg = fs.String("attrs", "", "comma-separated blocking attributes")
-		q        = fs.Int("q", 2, "q-gram size")
-		k        = fs.Int("k", 4, "minhash functions per hash table")
-		l        = fs.Int("l", 16, "number of hash tables")
-		w        = fs.Int("w", 0, "w-way semantic hash width (0 = half the signature bits)")
-		mode     = fs.String("mode", "or", "w-way composition: 'and' or 'or'")
-		sem      = fs.String("semantic", "", "semantic function: '', 'cora' or 'voter'")
-		seed     = fs.Int64("seed", 1, "random seed")
-		batch    = fs.Int("batch", 64, "mini-batch size (1 = record-at-a-time)")
-		workers  = fs.Int("workers", 0, "signature workers / bucket shards (0 = NumCPU)")
-		pairs    = fs.Bool("pairs", false, "print candidate pairs as they are discovered")
+		batch = fs.Int("batch", 64, "mini-batch size (1 = record-at-a-time)")
+		pairs = fs.Bool("pairs", false, "print candidate pairs as they are discovered")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	d, defaults, err := loadDataset(*input, *demo)
-	if err != nil {
-		return err
-	}
-	attrs := defaults
-	if *attrsArg != "" {
-		attrs = strings.Split(*attrsArg, ",")
-	}
-	if len(attrs) == 0 {
-		return fmt.Errorf("no blocking attributes: pass -attrs")
-	}
 	if *batch < 1 {
 		return fmt.Errorf("batch size must be >= 1, got %d", *batch)
 	}
-
-	cfg := semblock.Config{Attrs: attrs, Q: *q, K: *k, L: *l, Seed: *seed}
-	if *sem != "" {
-		// The semhash schema is fixed up front from the full dataset, the
-		// streaming analogue of deriving it from a reference sample.
-		opt, err := semanticOption(*sem, d, *w, *mode)
-		if err != nil {
-			return err
-		}
-		cfg.Semantic = opt
+	d, cfg, err := bf.config()
+	if err != nil {
+		return err
 	}
-	var opts []semblock.IndexerOption
-	if *workers > 0 {
-		opts = append(opts, semblock.WithWorkers(*workers))
-	}
-	ix, err := semblock.NewIndexer(cfg, opts...)
+	ix, err := semblock.NewIndexer(cfg, semblock.WithWorkers(bf.workers))
 	if err != nil {
 		return err
 	}
@@ -606,18 +574,10 @@ func runStream(args []string) error {
 // blocking → pruning → matching run, batch or streaming.
 func runPipeline(args []string) error {
 	fs := flag.NewFlagSet("semblock pipeline", flag.ExitOnError)
+	var bf blockFlags
+	bf.register(fs)
+	fs.IntVar(&bf.workers, "workers", 0, "table-build / scoring workers (0 = GOMAXPROCS)")
 	var (
-		input     = fs.String("input", "", "input CSV (header row; optional entity_id column)")
-		demo      = fs.String("demo", "", "generate a synthetic dataset instead: 'cora' or 'voter'")
-		attrsArg  = fs.String("attrs", "", "comma-separated blocking attributes")
-		q         = fs.Int("q", 2, "q-gram size")
-		k         = fs.Int("k", 4, "minhash functions per hash table")
-		l         = fs.Int("l", 16, "number of hash tables")
-		w         = fs.Int("w", 0, "w-way semantic hash width (0 = half the signature bits)")
-		mode      = fs.String("mode", "or", "w-way composition: 'and' or 'or'")
-		sem       = fs.String("semantic", "", "semantic function: '', 'cora' or 'voter'")
-		seed      = fs.Int64("seed", 1, "random seed")
-		workers   = fs.Int("workers", 0, "table-build / scoring workers (0 = GOMAXPROCS)")
 		meta      = fs.String("meta", "", "meta-blocking pruning stage SCHEME/ALGO, e.g. CBS/WEP (schemes: ARCS CBS ECBS JS EJS; algos: WEP CEP WNP CNP)")
 		match     = fs.String("match", "", "matching stage attr=weight list, e.g. title=0.6,authors=0.4")
 		threshold = fs.Float64("threshold", 0.5, "match classification threshold in [0,1]")
@@ -629,37 +589,16 @@ func runPipeline(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	d, defaults, err := loadDataset(*input, *demo)
+	d, cfg, err := bf.config()
 	if err != nil {
 		return err
-	}
-	attrs := defaults
-	if *attrsArg != "" {
-		attrs = strings.Split(*attrsArg, ",")
-	}
-	if len(attrs) == 0 {
-		return fmt.Errorf("no blocking attributes: pass -attrs")
-	}
-
-	cfg := semblock.Config{Attrs: attrs, Q: *q, K: *k, L: *l, Seed: *seed, Workers: *workers}
-	if *sem != "" {
-		opt, err := semanticOption(*sem, d, *w, *mode)
-		if err != nil {
-			return err
-		}
-		cfg.Semantic = opt
 	}
 	b, err := semblock.New(cfg)
 	if err != nil {
 		return err
 	}
 
-	var opts []semblock.PipelineOption
-	if *workers > 0 {
-		opts = append(opts, semblock.WithPipelineWorkers(*workers))
-	}
-	opts = append(opts, semblock.WithBatchSize(*batch))
+	opts := []semblock.PipelineOption{semblock.WithPipelineWorkers(bf.workers), semblock.WithBatchSize(*batch)}
 	if *meta != "" {
 		scheme, algo, err := parseMeta(*meta)
 		if err != nil {
@@ -753,35 +692,12 @@ func parseMeta(s string) (semblock.WeightScheme, semblock.PruneAlgo, error) {
 	if len(parts) != 2 {
 		return 0, 0, fmt.Errorf("meta spec %q: want SCHEME/ALGO, e.g. CBS/WEP", s)
 	}
-	var scheme semblock.WeightScheme
-	switch strings.ToUpper(parts[0]) {
-	case "ARCS":
-		scheme = semblock.WeightSchemeARCS
-	case "CBS":
-		scheme = semblock.WeightSchemeCBS
-	case "ECBS":
-		scheme = semblock.WeightSchemeECBS
-	case "JS":
-		scheme = semblock.WeightSchemeJS
-	case "EJS":
-		scheme = semblock.WeightSchemeEJS
-	default:
-		return 0, 0, fmt.Errorf("unknown weight scheme %q (want ARCS, CBS, ECBS, JS or EJS)", parts[0])
+	scheme, err := metablocking.ParseScheme(parts[0])
+	if err != nil {
+		return 0, 0, err
 	}
-	var algo semblock.PruneAlgo
-	switch strings.ToUpper(parts[1]) {
-	case "WEP":
-		algo = semblock.PruneWEP
-	case "CEP":
-		algo = semblock.PruneCEP
-	case "WNP":
-		algo = semblock.PruneWNP
-	case "CNP":
-		algo = semblock.PruneCNP
-	default:
-		return 0, 0, fmt.Errorf("unknown prune algorithm %q (want WEP, CEP, WNP or CNP)", parts[1])
-	}
-	return scheme, algo, nil
+	algo, err := metablocking.ParseAlgo(parts[1])
+	return scheme, algo, err
 }
 
 // parseMatcher parses an attr=weight list like "title=0.6,authors=0.4".
@@ -834,7 +750,7 @@ func loadDataset(input, demo string) (*record.Dataset, []string, error) {
 }
 
 // semanticOption builds the SA-LSH option for a named domain function.
-func semanticOption(name string, d *record.Dataset, w int, mode string) (*semblock.SemanticOption, error) {
+func semanticOption(name string, d *record.Dataset, w int, mode lsh.Mode) (*semblock.SemanticOption, error) {
 	var fn semblock.SemanticFunction
 	var err error
 	switch name {
@@ -855,9 +771,5 @@ func semanticOption(name string, d *record.Dataset, w int, mode string) (*semblo
 	if w <= 0 {
 		w = (schema.Bits() + 1) / 2
 	}
-	m := lsh.ModeOR
-	if mode == "and" {
-		m = lsh.ModeAND
-	}
-	return &semblock.SemanticOption{Schema: schema, W: w, Mode: m}, nil
+	return &semblock.SemanticOption{Schema: schema, W: w, Mode: mode}, nil
 }

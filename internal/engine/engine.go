@@ -238,12 +238,6 @@ func AppendBlocks(dst [][]record.ID, t *Table, minSize int, copyIDs bool) [][]re
 // from every worker.
 type KeyFunc func(table int, id record.ID, dst []uint64) []uint64
 
-// FinishFunc converts one completed table into its blocks. The default
-// (used when Spec.Finish is nil) keeps every bucket with >= 2 members in
-// first-touch order; the PostFilter OR strategy substitutes a splitting
-// pass here. The returned blocks may alias the table's bucket storage.
-type FinishFunc func(table int, t *Table) [][]record.ID
-
 // Spec describes one parallel table build.
 type Spec struct {
 	// Tables is the number of hash tables (the blocker's l).
@@ -253,8 +247,6 @@ type Spec struct {
 	Records int
 	// Keys yields the bucket keys of a record in a table.
 	Keys KeyFunc
-	// Finish post-processes one completed table (nil = buckets >= 2).
-	Finish FinishFunc
 	// Workers caps the worker pool (0 = GOMAXPROCS). Build never uses
 	// more workers than tables. The worker count does not change the
 	// output, only how the tables are spread over goroutines.
@@ -262,24 +254,16 @@ type Spec struct {
 }
 
 // Build constructs every table of the spec concurrently and returns the
-// concatenation of the per-table blocks in table order. Within a table,
-// blocks appear in bucket first-touch order and bucket members in record
+// concatenation of the per-table blocks in table order. A table's blocks
+// are its buckets with >= 2 members (AppendBlocks); within a table they
+// appear in bucket first-touch order and bucket members in record
 // ID order, so the result is byte-for-byte deterministic for a fixed
 // configuration — independent of the worker count.
 func Build(spec Spec) [][]record.ID {
 	if spec.Tables <= 0 {
 		return nil
 	}
-	finish := spec.Finish
-	if finish == nil {
-		finish = func(_ int, t *Table) [][]record.ID {
-			return AppendBlocks(nil, t, 2, false)
-		}
-	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := Workers(spec.Workers)
 	if workers > spec.Tables {
 		workers = spec.Tables
 	}
@@ -303,7 +287,7 @@ func Build(spec Spec) [][]record.ID {
 						tb.Insert(k, record.ID(id))
 					}
 				}
-				perTable[t] = finish(t, tb)
+				perTable[t] = AppendBlocks(nil, tb, 2, false)
 			}
 		}()
 	}
@@ -318,6 +302,17 @@ func Build(spec Spec) [][]record.ID {
 		out = append(out, blocks...)
 	}
 	return out
+}
+
+// Workers resolves a worker-count setting: n when positive, otherwise
+// GOMAXPROCS — the CPUs the scheduler will actually run goroutines on, which
+// a CPU quota or GOMAXPROCS=1 benchmark run sets below the machine's core
+// count. Every worker pool in the tree sizes its default through it.
+func Workers(n int) int {
+	if n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // ParallelChunks splits [0,n) into up to `workers` contiguous chunks and

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"semblock/internal/record"
@@ -71,32 +70,27 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestBuildFinish checks the Finish hook sees each completed table exactly
-// once and its output lands merged in table order.
+// TestBuildFinish checks how Build finishes a table: every bucket with at
+// least two members becomes a block, singletons are dropped, blocks keep
+// bucket first-touch order and the tables' blocks land merged in table order.
 func TestBuildFinish(t *testing.T) {
-	const tables = 5
-	var mu sync.Mutex
-	seen := make(map[int]int)
-	blocks := Build(Spec{
-		Tables:  tables,
-		Records: 10,
-		Keys:    modKeys,
-		Workers: 3,
-		Finish: func(table int, tb *Table) [][]record.ID {
-			mu.Lock()
-			seen[table]++
-			mu.Unlock()
-			// One sentinel block per table: {table}.
-			return [][]record.ID{{record.ID(table)}}
-		},
-	})
+	const tables, records = 5, 10
+	var want [][]record.ID
 	for tab := 0; tab < tables; tab++ {
-		if seen[tab] != 1 {
-			t.Fatalf("table %d finished %d times", tab, seen[tab])
+		mod := tab + 2 // modKeys: first touch of key r is record r
+		for r := 0; r < mod; r++ {
+			var ids []record.ID
+			for id := r; id < records; id += mod {
+				ids = append(ids, record.ID(id))
+			}
+			if len(ids) >= 2 {
+				want = append(want, ids)
+			}
 		}
-		if blocks[tab][0] != record.ID(tab) {
-			t.Fatalf("merge order broken at %d: %v", tab, blocks)
-		}
+	}
+	got := Build(Spec{Tables: tables, Records: records, Keys: modKeys, Workers: 3})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Build = %v, want %v", got, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package lsh
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
 
 	"semblock/internal/datagen"
@@ -28,59 +27,6 @@ func coraFixture(t *testing.T, n int) (*record.Dataset, *semantic.Schema) {
 		t.Fatal(err)
 	}
 	return d, schema
-}
-
-// canonicalBlocks renders a block set as a sorted multiset of sorted blocks.
-func canonicalBlocks(blocks [][]record.ID) []string {
-	out := make([]string, 0, len(blocks))
-	for _, b := range blocks {
-		ids := append([]record.ID(nil), b...)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		out = append(out, fmt.Sprint(ids))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestORStrategyParityParallel asserts BucketPerBit and PostFilter produce
-// identical block multisets under the parallel table-build engine, across
-// worker counts. Run with -race (the CI race job does) this also exercises
-// concurrent table builds over the shared signature matrices.
-func TestORStrategyParityParallel(t *testing.T) {
-	d, schema := coraFixture(t, 400)
-	base := Config{Attrs: []string{"authors", "title"}, Q: 3, K: 3, L: 16, Seed: 9}
-
-	var want []string
-	for _, workers := range []int{1, 4, 16} {
-		results := make(map[ORStrategy][]string)
-		for _, strat := range []ORStrategy{BucketPerBit, PostFilter} {
-			cfg := base
-			cfg.Workers = workers
-			cfg.Semantic = &SemanticOption{Schema: schema, W: 3, Mode: ModeOR, ORStrategy: strat}
-			b, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := b.Block(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results[strat] = canonicalBlocks(res.Blocks)
-		}
-		got := results[BucketPerBit]
-		if len(got) == 0 {
-			t.Fatalf("workers=%d: no blocks produced", workers)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(results[PostFilter]) {
-			t.Fatalf("workers=%d: OR strategies disagree: %d vs %d blocks",
-				workers, len(got), len(results[PostFilter]))
-		}
-		if want == nil {
-			want = got
-		} else if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("workers=%d changed the block set: %d vs %d blocks", workers, len(got), len(want))
-		}
-	}
 }
 
 // TestBlockDeterministicOrder asserts the engine's stronger-than-seed

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
+	"strings"
 
 	"semblock/internal/blocking"
 	"semblock/internal/engine"
@@ -42,19 +42,17 @@ func (m Mode) String() string {
 	return "or"
 }
 
-// ORStrategy selects the implementation of the w-way OR function. Both
-// strategies produce identical candidate pairs (asserted by tests); they
-// differ only in constant factors, which the ablation bench compares.
-type ORStrategy int
-
-const (
-	// BucketPerBit files a record into one sub-bucket per selected set
-	// bit, so OR collisions fall out of bucket equality directly.
-	BucketPerBit ORStrategy = iota
-	// PostFilter buckets on the minhash band alone, then splits each
-	// bucket by selected set bits afterwards.
-	PostFilter
-)
+// ParseMode is the inverse of Mode.String, ignoring case; the empty string
+// is the default, OR.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(s) {
+	case "", "or":
+		return ModeOR, nil
+	case "and":
+		return ModeAND, nil
+	}
+	return 0, fmt.Errorf("semantic mode %q (want \"and\" or \"or\")", s)
+}
 
 // SemanticOption configures the semantic augmentation of SA-LSH.
 type SemanticOption struct {
@@ -64,15 +62,6 @@ type SemanticOption struct {
 	W int
 	// Mode selects AND (∧) or OR (∨) composition.
 	Mode Mode
-	// ORStrategy selects the OR implementation (BucketPerBit by default).
-	ORStrategy ORStrategy
-	// GlobalBits, when true, selects the w semhash functions once and
-	// reuses them for every hash table, instead of the paper's per-table
-	// random choice. Exists for the placement ablation
-	// (BenchmarkAblationSemPlacement): a single global choice is cheaper
-	// but loses the independence that makes the OR-collision model
-	// 1-(1-s^k·p)^l accurate across tables.
-	GlobalBits bool
 }
 
 // Config configures an LSH or SA-LSH blocker.
@@ -95,6 +84,16 @@ type Config struct {
 	Workers int
 	// Semantic, when non-nil, upgrades the blocker from LSH to SA-LSH.
 	Semantic *SemanticOption
+}
+
+// Technique names the blocking technique the configuration describes — the
+// name stamped on every result built from it, batch or streamed: "sa-lsh"
+// with a semantic option, "lsh" without.
+func (c Config) Technique() string {
+	if c.Semantic != nil {
+		return "sa-lsh"
+	}
+	return "lsh"
 }
 
 // SparseIDError reports a dataset whose record IDs are not dense 0..n-1 in
@@ -141,13 +140,8 @@ func New(cfg Config) (*Blocker, error) {
 	return &Blocker{cfg: cfg, signer: s}, nil
 }
 
-// Name returns "lsh" or "sa-lsh".
-func (b *Blocker) Name() string {
-	if b.cfg.Semantic != nil {
-		return "sa-lsh"
-	}
-	return "lsh"
-}
+// Name returns the configuration's technique name.
+func (b *Blocker) Name() string { return b.cfg.Technique() }
 
 // Config returns the blocker's configuration.
 func (b *Blocker) Config() Config { return b.cfg }
@@ -166,11 +160,7 @@ func (b *Blocker) Block(d *record.Dataset) (*blocking.Result, error) {
 	s, n := b.signer, d.Len()
 	keys := make([]uint64, b.cfg.L*n)
 	sems := make([]semantic.BitVec, n)
-	workers := b.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	engine.ParallelChunks(n, workers, func(lo, hi int) {
+	engine.ParallelChunks(n, engine.Workers(b.cfg.Workers), func(lo, hi int) {
 		sig := make([]uint64, b.cfg.K*b.cfg.L)
 		var hashes, semArena []uint64
 		for i := lo; i < hi; i++ {
@@ -182,33 +172,14 @@ func (b *Blocker) Block(d *record.Dataset) (*blocking.Result, error) {
 		}
 	})
 
-	postFilter := b.cfg.Semantic != nil &&
-		b.cfg.Semantic.Mode == ModeOR && b.cfg.Semantic.ORStrategy == PostFilter
-	spec := engine.Spec{
+	return blocking.NewResult(b.Name(), engine.Build(engine.Spec{
 		Tables:  b.cfg.L,
 		Records: n,
 		Workers: b.cfg.Workers,
 		Keys: func(table int, id record.ID, dst []uint64) []uint64 {
-			key := keys[table*n+int(id)]
-			if postFilter {
-				// Bucket on the minhash band alone; semantic splitting
-				// happens once the table's buckets are complete.
-				return append(dst, key)
-			}
-			return s.FanOut(table, key, sems[id], dst)
+			return s.FanOut(table, keys[table*n+int(id)], sems[id], dst)
 		},
-	}
-	if postFilter {
-		spec.Finish = func(table int, t *engine.Table) [][]record.ID {
-			bits := s.TableBits(table)
-			var out [][]record.ID
-			t.Buckets(func(_ uint64, ids []record.ID) {
-				out = append(out, SplitByBits(ids, sems, bits)...)
-			})
-			return out
-		}
-	}
-	return blocking.NewResult(b.Name(), engine.Build(spec)), nil
+	})), nil
 }
 
 // selectBits chooses the w distinct semhash-function indices of one hash
@@ -238,24 +209,6 @@ func allBitsSet(v semantic.BitVec, bits []int) bool {
 // zero fixed input.
 func mixBit(key uint64, bit int) uint64 {
 	return minhash.Mix64(key ^ minhash.Mix64(uint64(bit)+1))
-}
-
-// SplitByBits implements the PostFilter OR strategy: one sub-block per
-// selected bit, containing the bucket's records having that bit set.
-func SplitByBits(ids []record.ID, semSigs []semantic.BitVec, bits []int) [][]record.ID {
-	var out [][]record.ID
-	for _, bit := range bits {
-		var sub []record.ID
-		for _, id := range ids {
-			if semSigs[id].Get(bit) {
-				sub = append(sub, id)
-			}
-		}
-		if len(sub) >= 2 {
-			out = append(out, sub)
-		}
-	}
-	return out
 }
 
 // CollisionProbability returns the probability 1-(1-s^k)^l that two records

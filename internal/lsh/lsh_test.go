@@ -1,9 +1,11 @@
 package lsh
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"semblock/internal/minhash"
 	"semblock/internal/record"
 	"semblock/internal/semantic"
 	"semblock/internal/taxonomy"
@@ -170,36 +172,94 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestORStrategiesEquivalent asserts BucketPerBit and PostFilter produce
-// identical candidate-pair sets (they are two implementations of the same
-// w-way OR function).
-func TestORStrategiesEquivalent(t *testing.T) {
+// orPairsByDefinition is the w-way OR of §5.2 spelled out pair by pair:
+// records a and b co-block iff in some table their minhash bands hash to the
+// same band key and they share a set bit among the table's w selected
+// semhash functions. Signatures come straight from the q-gram strings, the
+// bit choice from selectBits — nothing of the Signer's staging, laziness or
+// bucket keying is involved.
+func orPairsByDefinition(cfg Config, d *record.Dataset) record.PairSet {
+	schema := cfg.Semantic.Schema
+	fam := minhash.NewFamily(cfg.K*cfg.L, cfg.Seed)
+	n := d.Len()
+	bands := make([][]uint64, n) // bands[i][t]: record i's band key in table t
+	sems := make([]semantic.BitVec, n)
+	for i, r := range d.Records() {
+		sig := fam.Signature(textual.QGrams(r.Key(cfg.Attrs...), cfg.Q))
+		bands[i] = make([]uint64, cfg.L)
+		for t := range bands[i] {
+			bands[i][t] = minhash.BandKey(t, sig[t*cfg.K:(t+1)*cfg.K])
+		}
+		sems[i] = schema.Signature(r)
+	}
+	pairs := record.NewPairSet(0)
+	for t := 0; t < cfg.L; t++ {
+		bits := selectBits(cfg.Seed, t, cfg.Semantic.W, schema.Bits())
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if bands[a][t] != bands[b][t] {
+					continue
+				}
+				for _, bit := range bits {
+					if sems[a].Get(bit) && sems[b].Get(bit) {
+						pairs.Add(record.ID(a), record.ID(b))
+						break
+					}
+				}
+			}
+		}
+	}
+	return pairs
+}
+
+// TestORBlocksMatchDefinition checks OR-mode Block against the definition
+// of the w-way OR function: over w and seeds on the running example, and on
+// a mid-size Cora sample across worker counts, where the blocks must also
+// not move with the worker count (run with -race, as the CI race job does,
+// this exercises the concurrent table builds over the shared key matrix).
+func TestORBlocksMatchDefinition(t *testing.T) {
+	check := func(name string, cfg Config, d *record.Dataset) [][]record.ID {
+		t.Helper()
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := b.Block(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := res.CandidatePairs(), orPairsByDefinition(cfg, d)
+		if got.Len() != want.Len() || got.Intersect(want) != want.Len() {
+			t.Fatalf("%s: Block has %d candidate pairs, the definition %d (%d shared)",
+				name, got.Len(), want.Len(), got.Intersect(want))
+		}
+		return res.Blocks
+	}
+
 	d, schema := fixtureDataset(t)
 	for _, w := range []int{1, 2, 3, 5} {
 		for seed := int64(0); seed < 5; seed++ {
-			base := Config{Attrs: []string{"title", "authors"}, Q: 2, K: 2, L: 6, Seed: seed}
-			base.Semantic = &SemanticOption{Schema: schema, W: w, Mode: ModeOR, ORStrategy: BucketPerBit}
-			b1, err := New(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base.Semantic = &SemanticOption{Schema: schema, W: w, Mode: ModeOR, ORStrategy: PostFilter}
-			b2, err := New(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r1, err := b1.Block(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2, err := b2.Block(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p1, p2 := r1.CandidatePairs(), r2.CandidatePairs()
-			if p1.Len() != p2.Len() || p1.Intersect(p2) != p1.Len() {
-				t.Fatalf("w=%d seed=%d: OR strategies disagree (%d vs %d pairs)", w, seed, p1.Len(), p2.Len())
-			}
+			check(fmt.Sprintf("w=%d seed=%d", w, seed), Config{
+				Attrs: []string{"title", "authors"}, Q: 2, K: 2, L: 6, Seed: seed,
+				Semantic: &SemanticOption{Schema: schema, W: w, Mode: ModeOR},
+			}, d)
+		}
+	}
+
+	cora, coraSchema := coraFixture(t, 400)
+	var want [][]record.ID
+	for _, workers := range []int{1, 3, 8} {
+		blocks := check(fmt.Sprintf("workers=%d", workers), Config{
+			Attrs: []string{"authors", "title"}, Q: 3, K: 3, L: 16, Seed: 9, Workers: workers,
+			Semantic: &SemanticOption{Schema: coraSchema, W: 3, Mode: ModeOR},
+		}, cora)
+		if len(blocks) == 0 {
+			t.Fatalf("workers=%d: no blocks produced", workers)
+		}
+		if want == nil {
+			want = blocks
+		} else if fmt.Sprint(blocks) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d changed the blocks", workers)
 		}
 	}
 }
@@ -358,53 +418,6 @@ func TestSelectBitsDistinct(t *testing.T) {
 			}
 			seen[b] = true
 		}
-	}
-}
-
-// TestGlobalBitsSelection verifies the placement ablation knob: with
-// GlobalBits every table uses the table-0 semantic function choice, so
-// records failing those specific bits under AND can never block anywhere,
-// whereas per-table choices vary across tables.
-func TestGlobalBitsSelection(t *testing.T) {
-	d, schema := fixtureDataset(t)
-	for _, global := range []bool{false, true} {
-		b, err := New(Config{Attrs: []string{"title", "authors"}, Q: 2, K: 2, L: 6, Seed: 5,
-			Semantic: &SemanticOption{Schema: schema, W: 2, Mode: ModeOR, GlobalBits: global}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := b.Block(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Prop 5.3 must hold in both placements: the conference/TR pair
-		// (records 0 and 3) is semantically disjoint.
-		if res.Covers(0, 3) {
-			t.Errorf("global=%v: semantically disjoint pair co-blocked", global)
-		}
-	}
-	// Global selection is deterministic per seed: both constructions of
-	// the same config agree.
-	cfg := Config{Attrs: []string{"title"}, Q: 2, K: 2, L: 4, Seed: 9,
-		Semantic: &SemanticOption{Schema: schema, W: 2, Mode: ModeAND, GlobalBits: true}}
-	b1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := b1.Block(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := b2.Block(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.CandidatePairs().Len() != r2.CandidatePairs().Len() {
-		t.Error("GlobalBits blocking not deterministic")
 	}
 }
 

@@ -54,8 +54,8 @@ func TestSeedSweepQuality(t *testing.T) {
 			gen.Records = c.records
 			d := datagen.Cora(gen)
 			if c.salted {
-				// The entity tag experiments.LoadBench and the benchmark's serve
-				// workloads append, which keeps pairs per record flat at scale.
+				// The entity tag the benchmark's serve workloads append, which
+				// keeps pairs per record flat at scale.
 				for _, r := range d.Records() {
 					salt := fmt.Sprintf(" c%d", r.Entity)
 					r.Attrs["title"] += salt

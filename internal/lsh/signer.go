@@ -62,11 +62,7 @@ func NewSigner(cfg Config) (*Signer, error) {
 	if sem := cfg.Semantic; sem != nil {
 		s.bits = make([][]int, cfg.L)
 		for t := 0; t < cfg.L; t++ {
-			bitTable := t
-			if sem.GlobalBits {
-				bitTable = 0
-			}
-			s.bits[t] = selectBits(cfg.Seed, bitTable, sem.W, sem.Schema.Bits())
+			s.bits[t] = selectBits(cfg.Seed, t, sem.W, sem.Schema.Bits())
 		}
 	}
 	return s, nil
@@ -74,9 +70,6 @@ func NewSigner(cfg Config) (*Signer, error) {
 
 // Config returns the signer's configuration.
 func (s *Signer) Config() Config { return s.cfg }
-
-// Semantic reports whether the signer is configured for SA-LSH.
-func (s *Signer) Semantic() bool { return s.cfg.Semantic != nil }
 
 // AppendKeyHashes appends the shingle hashes of the record's q-grams
 // to dst and returns the extended slice: grams are hashed as views into the
@@ -134,9 +127,8 @@ func (s *Signer) StageAppend(r *record.Record, arena []uint64) (Stage, []uint64)
 
 // active reports whether a record with semhash sem can file under any key
 // of the table, i.e. whether its band is worth signing: always for plain
-// LSH and for the PostFilter OR strategy (which buckets on the band alone
-// and splits afterwards); iff all w selected bits are set for AND; iff any
-// selected bit is set for bucket-per-bit OR.
+// LSH; iff all w selected bits are set for AND; iff any selected bit is set
+// for OR.
 //
 //semblock:hotpath
 func (s *Signer) active(table int, sem semantic.BitVec) bool {
@@ -146,8 +138,6 @@ func (s *Signer) active(table int, sem semantic.BitVec) bool {
 		return true
 	case opt.Mode == ModeAND:
 		return allBitsSet(sem, s.bits[table])
-	case opt.ORStrategy == PostFilter:
-		return true
 	}
 	for _, bit := range s.bits[table] {
 		if sem.Get(bit) {
@@ -192,15 +182,6 @@ func (s *Signer) BandKeys(st *Stage, tables []int, sig, keys []uint64, stride in
 		signed++
 	}
 	return signed
-}
-
-// TableBits returns the semantic bit choice of one hash table (nil without
-// a semantic option). The slice is shared; callers must not mutate it.
-func (s *Signer) TableBits(table int) []int {
-	if s.bits == nil {
-		return nil
-	}
-	return s.bits[table]
 }
 
 // BucketKeys appends to dst the bucket keys the record files under in one

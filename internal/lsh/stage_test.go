@@ -13,8 +13,7 @@ import (
 )
 
 // coraSigners builds one signer per semantic configuration over a small
-// Cora sample: plain LSH, AND, OR bucket-per-bit, OR post-filter, and OR
-// with one global bit choice.
+// Cora sample: plain LSH, AND and OR.
 func coraSigners(t *testing.T) (*record.Dataset, *semantic.Schema, map[string]*Signer) {
 	t.Helper()
 	cfg := datagen.DefaultCoraConfig()
@@ -33,8 +32,6 @@ func coraSigners(t *testing.T) (*record.Dataset, *semantic.Schema, map[string]*S
 		"lsh":               nil,
 		"and":               {Schema: schema, W: 2, Mode: ModeAND},
 		"or-bucket-per-bit": {Schema: schema, W: 3, Mode: ModeOR},
-		"or-post-filter":    {Schema: schema, W: 3, Mode: ModeOR, ORStrategy: PostFilter},
-		"or-global-bits":    {Schema: schema, W: 3, Mode: ModeOR, GlobalBits: true},
 	} {
 		s, err := NewSigner(Config{Attrs: []string{"authors", "title"}, Q: 3, K: 3, L: 8, Seed: 11, Semantic: opt})
 		if err != nil {
@@ -47,8 +44,8 @@ func coraSigners(t *testing.T) (*record.Dataset, *semantic.Schema, map[string]*S
 
 // naiveBucketKeys is the reference keying, written the way the code read
 // before band signing became lazy: the full k·l signature straight from the
-// q-gram strings, the band hashed unconditionally, the semantic bits
-// consulted last.
+// q-gram strings, the band hashed unconditionally, the semantic bits — the
+// table's own w-subset of the schema (§5.2) — consulted last.
 func naiveBucketKeys(s *Signer, schema *semantic.Schema, r *record.Record, table int) []uint64 {
 	cfg := s.Config()
 	sig := minhash.NewFamily(cfg.K*cfg.L, cfg.Seed).Signature(textual.QGrams(r.Key(cfg.Attrs...), cfg.Q))
@@ -57,14 +54,15 @@ func naiveBucketKeys(s *Signer, schema *semantic.Schema, r *record.Record, table
 		return []uint64{key}
 	}
 	sem := schema.Signature(r)
+	bits := selectBits(cfg.Seed, table, cfg.Semantic.W, schema.Bits())
 	var out []uint64
 	if cfg.Semantic.Mode == ModeAND {
-		if allBitsSet(sem, s.TableBits(table)) {
+		if allBitsSet(sem, bits) {
 			out = append(out, key)
 		}
 		return out
 	}
-	for _, bit := range s.TableBits(table) {
+	for _, bit := range bits {
 		if sem.Get(bit) {
 			out = append(out, mixBit(key, bit))
 		}

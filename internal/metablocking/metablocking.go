@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"semblock/internal/blocking"
 	"semblock/internal/record"
@@ -66,6 +67,16 @@ func (w WeightScheme) String() string {
 // Schemes lists all weighting schemes in report order.
 func Schemes() []WeightScheme { return []WeightScheme{ARCS, CBS, ECBS, JS, EJS} }
 
+// ParseScheme is the inverse of WeightScheme.String, ignoring case.
+func ParseScheme(s string) (WeightScheme, error) {
+	for _, w := range Schemes() {
+		if strings.EqualFold(s, w.String()) {
+			return w, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown weight scheme %q (want ARCS, CBS, ECBS, JS or EJS)", s)
+}
+
 // PruneAlgo names a pruning algorithm.
 type PruneAlgo int
 
@@ -100,6 +111,16 @@ func (p PruneAlgo) String() string {
 
 // Algos lists all pruning algorithms in report order.
 func Algos() []PruneAlgo { return []PruneAlgo{WEP, CEP, WNP, CNP} }
+
+// ParseAlgo is the inverse of PruneAlgo.String, ignoring case.
+func ParseAlgo(s string) (PruneAlgo, error) {
+	for _, p := range Algos() {
+		if strings.EqualFold(s, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown prune algorithm %q (want WEP, CEP, WNP or CNP)", s)
+}
 
 // mix64 is the SplitMix64 finalizer, the same key diffusion the engine
 // bucket store applies before probing.

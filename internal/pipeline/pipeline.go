@@ -35,12 +35,12 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"semblock/internal/blocking"
+	"semblock/internal/engine"
 	"semblock/internal/er"
 	"semblock/internal/metablocking"
 	"semblock/internal/obs"
@@ -205,7 +205,7 @@ func New(b blocking.Blocker, opts ...Option) (*Pipeline, error) {
 	if b == nil {
 		return nil, fmt.Errorf("pipeline: nil blocker")
 	}
-	p := &Pipeline{blocker: b, workers: runtime.GOMAXPROCS(0), batch: 256}
+	p := &Pipeline{blocker: b, workers: engine.Workers(0), batch: 256}
 	for _, opt := range opts {
 		opt(p)
 	}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -49,9 +47,8 @@ import (
 // collection (the ID-assignment mutex), while the shards of one ingest
 // batch proceed in parallel and independent collections never contend.
 type Collection struct {
-	spec      CollectionSpec
-	cfg       lsh.Config
-	technique string
+	spec CollectionSpec
+	cfg  lsh.Config
 
 	mu  sync.Mutex        // serialises ingest (ID assignment), drains, snapshots
 	log *stream.SharedLog // the one record log + staging pass all shards share
@@ -103,27 +100,18 @@ func newCollection(spec CollectionSpec) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	technique := "lsh"
-	if cfg.Semantic != nil {
-		technique = "sa-lsh"
-	}
 	// The shared log's staging pool does the per-record q-gram + semhash
 	// work once for the whole collection, so it gets the full worker
 	// budget; the per-shard pools only mix their own tables' minhash
 	// components and are sized 1/N of it so a fan-out ingest does not
 	// oversubscribe the CPU by a factor of the shard count.
-	logWorkers := spec.Workers
-	if logWorkers <= 0 {
-		logWorkers = runtime.NumCPU()
-	}
-	log, err := stream.NewSharedLog(spec.Name, cfg, logWorkers)
+	log, err := stream.NewSharedLog(spec.Name, cfg, spec.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("server: shared log of %s: %w", spec.Name, err)
 	}
 	c := &Collection{
 		spec:        spec,
 		cfg:         cfg,
-		technique:   technique,
 		log:         log,
 		groups:      map[string]*consumerGroup{DefaultConsumer: {name: DefaultConsumer}},
 		signal:      make(chan struct{}),
@@ -132,7 +120,7 @@ func newCollection(spec CollectionSpec) (*Collection, error) {
 	}
 	shardWorkers := spec.Workers
 	if shardWorkers <= 0 {
-		shardWorkers = runtime.NumCPU() / spec.Shards
+		shardWorkers = engine.Workers(0) / spec.Shards
 		if shardWorkers < 1 {
 			shardWorkers = 1
 		}
@@ -215,7 +203,7 @@ func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 	// across shards atomically. Only the final in-order queue append is
 	// sequential.
 	fresh := make([][]record.Pair, len(rows))
-	engine.ParallelChunks(len(rows), c.mergeWorkers(), func(lo, hi int) {
+	engine.ParallelChunks(len(rows), engine.Workers(c.spec.Workers), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var g []record.Pair
 			for si := range perShard {
@@ -240,14 +228,6 @@ func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 		c.broadcastLocked()
 	}
 	return batch.IDs, nil
-}
-
-// mergeWorkers sizes the canonical-merge worker pool.
-func (c *Collection) mergeWorkers() int {
-	if c.spec.Workers > 0 {
-		return c.spec.Workers
-	}
-	return runtime.NumCPU()
 }
 
 // replayRows rebuilds the hash tables from a persisted record batch
@@ -377,7 +357,7 @@ func (c *Collection) snapshotLocked() *blocking.Result {
 	for _, sh := range c.shards {
 		blocks = append(blocks, sh.Snapshot().Blocks...)
 	}
-	return blocking.NewResult(c.technique, blocks)
+	return blocking.NewResult(c.cfg.Technique(), blocks)
 }
 
 // Dataset returns the ingested records (IDs preserved) as a read-only
@@ -458,9 +438,13 @@ func (c *Collection) ResolveContext(ctx context.Context, req ResolveRequest) (*p
 	}
 	opts := []pipeline.Option{pipeline.WithMatcher(matcher)}
 	if req.Pruning != nil {
-		scheme, algo, err := parsePruning(*req.Pruning)
+		scheme, err := metablocking.ParseScheme(req.Pruning.Scheme)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("server: %w", err)
+		}
+		algo, err := metablocking.ParseAlgo(req.Pruning.Algo)
+		if err != nil {
+			return nil, fmt.Errorf("server: %w", err)
 		}
 		opts = append(opts, pipeline.WithPruning(scheme, algo))
 	}
@@ -500,39 +484,6 @@ type staticBlocker struct{ res *blocking.Result }
 func (s staticBlocker) Name() string { return s.res.Technique }
 
 func (s staticBlocker) Block(*record.Dataset) (*blocking.Result, error) { return s.res, nil }
-
-// parsePruning maps a PruneSpec onto the meta-blocking constants.
-func parsePruning(spec PruneSpec) (metablocking.WeightScheme, metablocking.PruneAlgo, error) {
-	var scheme metablocking.WeightScheme
-	switch strings.ToUpper(spec.Scheme) {
-	case "ARCS":
-		scheme = metablocking.ARCS
-	case "CBS":
-		scheme = metablocking.CBS
-	case "ECBS":
-		scheme = metablocking.ECBS
-	case "JS":
-		scheme = metablocking.JS
-	case "EJS":
-		scheme = metablocking.EJS
-	default:
-		return 0, 0, fmt.Errorf("server: unknown weight scheme %q (want ARCS, CBS, ECBS, JS or EJS)", spec.Scheme)
-	}
-	var algo metablocking.PruneAlgo
-	switch strings.ToUpper(spec.Algo) {
-	case "WEP":
-		algo = metablocking.WEP
-	case "CEP":
-		algo = metablocking.CEP
-	case "WNP":
-		algo = metablocking.WNP
-	case "CNP":
-		algo = metablocking.CNP
-	default:
-		return 0, 0, fmt.Errorf("server: unknown prune algorithm %q (want WEP, CEP, WNP or CNP)", spec.Algo)
-	}
-	return scheme, algo, nil
-}
 
 // Stats summarises a collection for the HTTP API.
 type Stats struct {
@@ -593,7 +544,7 @@ func (c *Collection) Stats() Stats {
 	def := c.groups[DefaultConsumer]
 	return Stats{
 		Name:             c.spec.Name,
-		Technique:        c.technique,
+		Technique:        c.cfg.Technique(),
 		Shards:           len(c.shards),
 		Records:          c.log.Len(),
 		Pairs:            c.seen.Len(),

@@ -415,6 +415,28 @@ func TestDatasetIsPrefixView(t *testing.T) {
 }
 
 // TestCollectionValidation covers spec rejection paths.
+// TestWorkersHonourGOMAXPROCS: a collection whose spec leaves Workers at 0
+// sizes the shared log's staging pool and every shard's pool from
+// GOMAXPROCS, not the machine's core count (stream's test of the same name
+// covers the constructors; this covers what newCollection hands them). The
+// pool sizes are unexported fields of another package, read by reflection.
+func TestWorkersHonourGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c, err := newCollection(baseSpec("procs", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := func(v any) int64 { return reflect.ValueOf(v).Elem().FieldByName("workers").Int() }
+	if n := workers(c.log); n != 1 {
+		t.Errorf("shared log stages on %d workers under GOMAXPROCS(1), want 1", n)
+	}
+	for i, sh := range c.shards {
+		if n := workers(sh); n != 1 {
+			t.Errorf("shard %d signs on %d workers under GOMAXPROCS(1), want 1", i, n)
+		}
+	}
+}
+
 func TestCollectionValidation(t *testing.T) {
 	cases := map[string]CollectionSpec{
 		"bad-name":       {Name: "../evil", Attrs: []string{"a"}, Q: 2, K: 2, L: 4},

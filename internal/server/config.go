@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"regexp"
-	"strings"
 
 	"semblock/internal/datagen"
 	"semblock/internal/lsh"
@@ -37,7 +36,7 @@ type CollectionSpec struct {
 	// set equals an unsharded index's — sharding changes write parallelism,
 	// never results.
 	Shards int `json:"shards,omitempty"`
-	// Workers caps each shard's signature worker pool (0 = NumCPU spread
+	// Workers caps each shard's signature worker pool (0 = GOMAXPROCS spread
 	// evenly over the shards).
 	Workers int `json:"workers,omitempty"`
 	// Semantic upgrades the collection from LSH to SA-LSH.
@@ -101,14 +100,9 @@ func (spec CollectionSpec) buildConfig() (lsh.Config, error) {
 	if w <= 0 {
 		w = (schema.Bits() + 1) / 2
 	}
-	var mode lsh.Mode
-	switch strings.ToLower(spec.Semantic.Mode) {
-	case "", "or":
-		mode = lsh.ModeOR
-	case "and":
-		mode = lsh.ModeAND
-	default:
-		return lsh.Config{}, fmt.Errorf("server: semantic mode %q (want \"and\" or \"or\")", spec.Semantic.Mode)
+	mode, err := lsh.ParseMode(spec.Semantic.Mode)
+	if err != nil {
+		return lsh.Config{}, fmt.Errorf("server: %w", err)
 	}
 	cfg.Semantic = &lsh.SemanticOption{Schema: schema, W: w, Mode: mode}
 	return cfg, nil

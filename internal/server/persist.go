@@ -41,28 +41,13 @@ import (
 // of it to discard instead of redelivering.
 const (
 	// manifestVersion names the on-disk layout AND the hash-family
-	// generation the cursors in it were counted under. v1: spec + record
-	// segments. v2: + durable drain cursor (manifest `drained`, per-segment
-	// cumulative `drained` epoch marks). v3: + compaction generations
-	// (manifest `generation`, per-segment `bytes`, generation-scoped segment
-	// names) — see compact.go. v4: + named consumer groups (manifest
-	// `consumers`: per-group durable cursors and webhook sinks) — see
-	// consumer.go; `drained` becomes the derived minimum cursor across
-	// groups, kept for diagnostics. v5: the v4 layout, written by builds
-	// whose minhash family is the one-multiply family over finalised shingle
-	// hashes (internal/minhash).
-	//
-	// A cursor is an index into the canonical emission sequence, and that
-	// sequence is a function of the bucket contents, hence of the family: a
-	// cursor counted under another family would skip the first `cursor`
-	// pairs of a sequence it was never counted in. So every older manifest
-	// takes one legacy path — its records, consumer-group names and webhook
-	// specs load, every cursor restarts at zero, and one warning says so
-	// (delivery across the upgrade is at-least-once). Bump the version
-	// whenever the layout or the emission sequence changes.
+	// generation the cursors in it were counted under — the only version
+	// LoadCollection reads. A cursor is an index into the canonical emission
+	// sequence, and that sequence is a function of the bucket contents, hence
+	// of the family: a cursor counted under another family would skip the
+	// first `cursor` pairs of a sequence it was never counted in. Bump the
+	// version whenever the layout or the emission sequence changes.
 	manifestVersion = 5
-	// oldestManifestVersion is the oldest layout LoadCollection still reads.
-	oldestManifestVersion = 1
 )
 
 // manifestFile is the manifest's file name inside a collection directory.
@@ -124,7 +109,7 @@ type segmentInfo struct {
 	Drained int `json:"drained,omitempty"`
 	// Bytes is the segment file size, recorded so the compaction byte
 	// threshold can be evaluated without statting the chain on every
-	// checkpoint. Zero in pre-v3 manifests; LoadCollection backfills it.
+	// checkpoint.
 	Bytes int64 `json:"bytes,omitempty"`
 	// Compacted marks a segment written by Compact (the squashed base of
 	// its generation) as opposed to an ordinary checkpoint append. The
@@ -136,10 +121,10 @@ type segmentInfo struct {
 }
 
 // segmentName returns the file name of segment idx (1-based) in a
-// compaction generation. Generation 0 keeps the pre-compaction naming, so
-// never-compacted directories stay byte-compatible with v2 layouts; later
-// generations embed the generation number, which guarantees a compaction
-// never overwrites a live segment of the generation it is replacing.
+// compaction generation. Generation 0, a never-compacted chain, uses the
+// plain name; later generations embed the generation number, which
+// guarantees a compaction never overwrites a live segment of the generation
+// it is replacing.
 func segmentName(generation, idx int) string {
 	if generation == 0 {
 		return fmt.Sprintf("segment-%06d.jsonl", idx)
@@ -239,9 +224,8 @@ const replayChunk = 4096
 // pairs delivered before the checkpoint are discarded from the
 // reconstructed sequence instead of redelivered. Files the manifest does
 // not reference — debris of a crashed compaction — are logged with
-// ErrOrphanFile and skipped. A manifest older than manifestVersion keeps
-// its records, groups and webhooks but restarts every cursor at zero, with
-// one logged warning (see manifestVersion).
+// ErrOrphanFile and skipped. A manifest of any version other than
+// manifestVersion is rejected.
 func LoadCollection(dir string) (*Collection, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -251,20 +235,9 @@ func LoadCollection(dir string) (*Collection, error) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		return nil, fmt.Errorf("server: parse manifest %s: %w", dir, err)
 	}
-	if m.Version < oldestManifestVersion || m.Version > manifestVersion {
-		return nil, fmt.Errorf("server: manifest %s has version %d, this build reads %d..%d",
-			dir, m.Version, oldestManifestVersion, manifestVersion)
-	}
-	if m.Version < manifestVersion {
-		m.Drained = 0
-		for i := range m.Consumers {
-			m.Consumers[i].Cursor = 0
-		}
-		for i := range m.Segments {
-			m.Segments[i].Drained = 0
-		}
-		warnf("server: collection %s: manifest v%d predates this build's hash family (v%d), so its drain cursors index a candidate sequence that no longer exists; records, consumer groups and webhooks are kept, every cursor restarts at zero (consumers may see redelivered pairs once)",
-			m.Spec.Name, m.Version, manifestVersion)
+	if m.Version != manifestVersion {
+		return nil, fmt.Errorf("server: manifest %s has version %d, this build reads only version %d",
+			dir, m.Version, manifestVersion)
 	}
 	if m.Generation < 0 {
 		return nil, fmt.Errorf("server: manifest %s has negative generation %d", dir, m.Generation)
@@ -290,13 +263,6 @@ func LoadCollection(dir string) (*Collection, error) {
 		if d.Len() != seg.Records {
 			return nil, fmt.Errorf("server: segment %s holds %d records, manifest says %d",
 				seg.Name, d.Len(), seg.Records)
-		}
-		if seg.Bytes == 0 {
-			// A manifest from before sizes were recorded: backfill, so the
-			// compaction byte threshold sees the whole chain.
-			if st, err := os.Stat(filepath.Join(dir, seg.Name)); err == nil {
-				seg.Bytes = st.Size()
-			}
 		}
 		recs := d.Records()
 		for lo := 0; lo < len(recs); lo += replayChunk {

@@ -248,45 +248,25 @@ func TestRestoreDrainCursorBatchBoundaries(t *testing.T) {
 	}
 }
 
-// restoreLegacyManifest checkpoints a collection whose default group has
-// drained everything and whose "etl" group (with a webhook sink) has
-// acknowledged a first batch, rewrites the manifest the way the given older
-// version would have written it, and restores it. It asserts what every
-// pre-v5 manifest must do — the drain cursors in it were counted in another
-// hash family's emission sequence, so: all records restore, the candidate
-// set equals the batch oracle, every cursor restarts at zero, exactly one
-// warning is logged, and the full drain redelivers everything delivered
-// before the upgrade (at-least-once). Returns the restored collection's
-// group stats, taken before the redelivery drain.
-func restoreLegacyManifest(t *testing.T, version int, rewrite func(m map[string]any)) []ConsumerStats {
-	t.Helper()
-	d, rows := coraFixture(t, 120)
-	spec := baseSpec(fmt.Sprintf("v%dcompat", version), 2)
+// TestManifestRejectsOtherVersions: LoadCollection reads exactly
+// manifestVersion. A checkpoint that is valid in every other respect fails
+// to load once its version field says anything else — older (the drain
+// cursors in it index another hash family's emission sequence) or newer —
+// with an error naming the found and the supported version, and loads again
+// once the field is put back.
+func TestManifestRejectsOtherVersions(t *testing.T) {
+	_, rows := coraFixture(t, 60)
 	dir := t.TempDir()
-	c, err := newCollection(spec)
+	c, err := newCollection(baseSpec("versions", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Ingest(rows); err != nil {
 		t.Fatal(err)
 	}
-	delivered := c.Candidates() // the default cursor moves past zero
-	if len(delivered) == 0 {
-		t.Fatal("nothing drained; fixture too small")
-	}
-	if _, err := c.CreateConsumer("etl", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetWebhook("etl", &WebhookSpec{URL: "http://127.0.0.1:9/hook", MaxRetries: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := c.DrainConsumer("etl", func(ConsumerBatch) error { return nil }); err != nil || n == 0 {
-		t.Fatalf("etl drain acknowledged %d pairs, err %v", n, err)
-	}
 	if err := c.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-
 	path := filepath.Join(dir, manifestFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -296,94 +276,30 @@ func restoreLegacyManifest(t *testing.T, version int, rewrite func(m map[string]
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	m["version"] = version
-	rewrite(m)
-	if raw, err = json.Marshal(m); err != nil {
-		t.Fatal(err)
+	load := func(version int) (*Collection, error) {
+		t.Helper()
+		m["version"] = version
+		body, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadCollection(dir)
 	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var warnings []string
-	warnf = func(format string, args ...any) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-	}
-	defer func() { warnf = slogWarnf }()
-	restored, err := LoadCollection(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "every cursor restarts at zero") {
-		t.Errorf("v%d load produced warnings %q, want exactly one about the cursor reset", version, warnings)
-	}
-	if restored.Len() != len(rows) {
-		t.Fatalf("v%d restore holds %d records, want %d", version, restored.Len(), len(rows))
-	}
-	stats := restored.Consumers()
-	for _, st := range stats {
-		if st.Cursor != 0 {
-			t.Errorf("v%d restore left group %q at cursor %d, want 0", version, st.Group, st.Cursor)
+	for _, version := range []int{1, 4, manifestVersion + 1} {
+		got, err := load(version)
+		if got != nil {
+			t.Errorf("version %d: LoadCollection returned a collection", version)
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", version)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("version %d", manifestVersion)) {
+			t.Errorf("version %d: err %v, want one naming versions %d and %d", version, err, version, manifestVersion)
 		}
 	}
-
-	cfg, err := spec.buildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocker, err := lsh.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := blocker.Block(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := batch.CandidatePairs()
-	got := record.NewPairSet(0)
-	for _, p := range restored.Candidates() {
-		got.AddPair(p)
-	}
-	if got.Len() != want.Len() || got.Intersect(want) != want.Len() {
-		t.Fatalf("v%d restore drained %d pairs, batch Block has %d (overlap %d)",
-			version, got.Len(), want.Len(), got.Intersect(want))
-	}
-	for _, p := range delivered {
-		if _, ok := got[p]; !ok {
-			t.Fatalf("v%d restore lost pair (%d,%d), delivered before the upgrade, instead of redelivering it",
-				version, p.Left(), p.Right())
-		}
-	}
-	return stats
-}
-
-// onlyDefaultGroup asserts a restore invented no named groups.
-func onlyDefaultGroup(t *testing.T, stats []ConsumerStats) {
-	t.Helper()
-	if len(stats) != 1 || stats[0].Group != DefaultConsumer {
-		t.Errorf("restore has groups %+v, want only %q", stats, DefaultConsumer)
-	}
-}
-
-// TestManifestV1Compat loads a v1 directory (no cursor fields at all)
-// through the legacy path. Future versions are rejected.
-func TestManifestV1Compat(t *testing.T) {
-	onlyDefaultGroup(t, restoreLegacyManifest(t, 1, func(m map[string]any) {
-		delete(m, "drained")
-		delete(m, "consumers")
-		for _, s := range m["segments"].([]any) {
-			delete(s.(map[string]any), "drained")
-		}
-	}))
-
-	// A version newer than this build reads is rejected.
-	dir := t.TempDir()
-	future := fmt.Sprintf(`{"version": %d}`, manifestVersion+1)
-	if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte(future), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCollection(dir); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("future manifest version: err %v, want a version error", err)
+	if got, err := load(manifestVersion); err != nil || got.Len() != len(rows) {
+		t.Errorf("version %d: err %v, want the %d records back", manifestVersion, err, len(rows))
 	}
 }
 
@@ -496,28 +412,5 @@ func TestServerRestoreOnBoot(t *testing.T) {
 	}
 	if _, ok := s2.Collection("beta"); ok {
 		t.Error("beta still listed after Delete")
-	}
-}
-
-// TestManifestV3Compat: a v2/v3 manifest carries one scalar "drained"
-// cursor and no "consumers" array. The cursor is dropped, not migrated onto
-// the default group, and no named groups appear.
-func TestManifestV3Compat(t *testing.T) {
-	onlyDefaultGroup(t, restoreLegacyManifest(t, 3, func(m map[string]any) {
-		m["drained"] = 17
-		delete(m, "consumers")
-	}))
-}
-
-// TestManifestV4Compat: a v4 manifest has the current layout under the
-// previous hash family. Its groups and their webhook sinks survive; their
-// cursors do not.
-func TestManifestV4Compat(t *testing.T) {
-	stats := restoreLegacyManifest(t, 4, func(map[string]any) {})
-	if len(stats) != 2 || stats[0].Group != DefaultConsumer || stats[1].Group != "etl" {
-		t.Fatalf("v4 restore has groups %+v, want %q and etl", stats, DefaultConsumer)
-	}
-	if w := stats[1].Webhook; w == nil || w.URL != "http://127.0.0.1:9/hook" || w.MaxRetries != 3 {
-		t.Errorf("v4 restore dropped the etl webhook spec: %+v", w)
 	}
 }

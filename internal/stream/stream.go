@@ -22,7 +22,7 @@
 // duplication plain per-shard indexers would pay.
 //
 // Concurrency model: a mini-batch's signature stages and band keys are
-// computed by a pool of workers (runtime.NumCPU() by default); the l hash
+// computed by a pool of workers (GOMAXPROCS by default); the l hash
 // tables are distributed round-robin over the same number of shards, each
 // shard guarding its tables with its own mutex, so bucket updates of one
 // batch proceed in parallel across shards while staying sequential (in record
@@ -32,7 +32,6 @@ package stream
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,16 +107,13 @@ func (l *SharedLog) SetBandCounters(signed, skipped *obs.Counter) {
 // NewSharedLog builds an empty shared record log for the given (SA-)LSH
 // configuration. Indexers attach with WithSharedLog; their configuration
 // must match the log's (NewIndexer enforces it). workers sizes the staging
-// worker pool (<= 0 means runtime.NumCPU()).
+// worker pool (<= 0 means GOMAXPROCS, see engine.Workers).
 func NewSharedLog(name string, cfg lsh.Config, workers int) (*SharedLog, error) {
 	signer, err := lsh.NewSigner(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	return &SharedLog{signer: signer, workers: workers, dataset: record.NewDataset(name)}, nil
+	return &SharedLog{signer: signer, workers: engine.Workers(workers), dataset: record.NewDataset(name)}, nil
 }
 
 // StagedBatch is a mini-batch appended to a SharedLog: the assigned record
@@ -188,7 +184,7 @@ func (l *SharedLog) Records() []*record.Record {
 type Option func(*Indexer)
 
 // WithWorkers sets the number of signature workers and bucket shards
-// (default runtime.NumCPU()). The worker count never changes which
+// (default GOMAXPROCS). The worker count never changes which
 // candidates are found, only how the work is spread.
 func WithWorkers(n int) Option {
 	return func(ix *Indexer) {
@@ -196,12 +192,6 @@ func WithWorkers(n int) Option {
 			ix.workers = n
 		}
 	}
-}
-
-// WithName overrides the technique name stamped on snapshots (default: the
-// batch blocker's name, "lsh" or "sa-lsh", for result parity).
-func WithName(name string) Option {
-	return func(ix *Indexer) { ix.name = name }
 }
 
 // WithTables restricts the Indexer to a subset of the configuration's l
@@ -249,13 +239,11 @@ func WithSharedLog(l *SharedLog) Option {
 type Indexer struct {
 	signer  *lsh.Signer
 	workers int
-	name    string
 
 	tableSubset    []int // the table indices this index maintains, ascending
 	tableSubsetSet bool  // whether WithTables restricted the subset
 
-	log    *SharedLog // record log + stage computation; private unless shared
-	shared bool       // attached via WithSharedLog
+	log *SharedLog // record log + stage computation; private unless WithSharedLog
 
 	// seen is the global dedup ledger: every candidate pair ever emitted.
 	// It is striped so concurrent inserters commit without serialising on
@@ -284,12 +272,11 @@ type shard struct {
 // (e.g. from a taxonomy and a reference sample); the schema is fixed for
 // the lifetime of the index.
 func NewIndexer(cfg lsh.Config, opts ...Option) (*Indexer, error) {
-	ix := &Indexer{
-		workers: runtime.NumCPU(),
-	}
+	ix := &Indexer{}
 	for _, opt := range opts {
 		opt(ix)
 	}
+	ix.workers = engine.Workers(ix.workers)
 	if ix.log != nil {
 		// Adopt the shared log's signer after checking the caller's config
 		// describes the same blocking behaviour: stages computed by the log
@@ -297,7 +284,6 @@ func NewIndexer(cfg lsh.Config, opts ...Option) (*Indexer, error) {
 		if err := compatibleConfig(cfg, ix.log.Config()); err != nil {
 			return nil, err
 		}
-		ix.shared = true
 		ix.signer = ix.log.signer
 	} else {
 		signer, err := lsh.NewSigner(cfg)
@@ -306,12 +292,6 @@ func NewIndexer(cfg lsh.Config, opts ...Option) (*Indexer, error) {
 		}
 		ix.signer = signer
 		ix.log = &SharedLog{signer: signer, workers: ix.workers, dataset: record.NewDataset("stream")}
-	}
-	if ix.name == "" {
-		ix.name = "lsh"
-		if cfg.Semantic != nil {
-			ix.name = "sa-lsh"
-		}
 	}
 	tables := ix.tableSubset
 	if !ix.tableSubsetSet {
@@ -375,8 +355,7 @@ func compatibleConfig(cfg, logCfg lsh.Config) error {
 	switch {
 	case (a == nil) != (b == nil):
 		return fmt.Errorf("stream: WithSharedLog semantic option present=%v, the log's present=%v", a != nil, b != nil)
-	case a != nil && (a.Schema != b.Schema || a.W != b.W || a.Mode != b.Mode ||
-		a.ORStrategy != b.ORStrategy || a.GlobalBits != b.GlobalBits):
+	case a != nil && *a != *b:
 		return fmt.Errorf("stream: WithSharedLog semantic option differs from the log's")
 	}
 	return nil
@@ -670,7 +649,7 @@ func (ix *Indexer) Snapshot() *blocking.Result {
 		}
 		sh.mu.Unlock()
 	}
-	return blocking.NewResult(ix.name, blocks)
+	return blocking.NewResult(ix.Config().Technique(), blocks)
 }
 
 // Dataset returns a read-only view of the backing log's records as a dataset

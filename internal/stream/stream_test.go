@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -114,9 +115,7 @@ func TestParitySALSH(t *testing.T) {
 		sem  lsh.SemanticOption
 	}{
 		{"and", lsh.SemanticOption{Schema: schema, W: 2, Mode: lsh.ModeAND}},
-		{"or-bucket-per-bit", lsh.SemanticOption{Schema: schema, W: 3, Mode: lsh.ModeOR, ORStrategy: lsh.BucketPerBit}},
-		{"or-post-filter", lsh.SemanticOption{Schema: schema, W: 3, Mode: lsh.ModeOR, ORStrategy: lsh.PostFilter}},
-		{"or-global-bits", lsh.SemanticOption{Schema: schema, W: 3, Mode: lsh.ModeOR, GlobalBits: true}},
+		{"or-bucket-per-bit", lsh.SemanticOption{Schema: schema, W: 3, Mode: lsh.ModeOR}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,6 +124,36 @@ func TestParitySALSH(t *testing.T) {
 			cfg.Semantic = &sem
 			assertParity(t, cfg, d)
 		})
+	}
+}
+
+// TestWorkersHonourGOMAXPROCS: a pool left at its default is sized by what
+// the scheduler will run (GOMAXPROCS), not by the machine's core count — a
+// GOMAXPROCS=1 benchmark run or a CPU-quota'd container must not be
+// oversubscribed by the serving path.
+func TestWorkersHonourGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := lsh.Config{Attrs: []string{"title"}, Q: 2, K: 2, L: 8, Seed: 1}
+	log, err := NewSharedLog("log", cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log.workers != 1 {
+		t.Errorf("default NewSharedLog staging pool has %d workers under GOMAXPROCS(1), want 1", log.workers)
+	}
+	ix, err := NewIndexer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.workers != 1 || len(ix.shards) != 1 || ix.log.workers != 1 {
+		t.Errorf("default NewIndexer has %d workers, %d shards, %d log workers under GOMAXPROCS(1), want 1 each",
+			ix.workers, len(ix.shards), ix.log.workers)
+	}
+	if ix, err = NewIndexer(cfg, WithWorkers(3)); err != nil {
+		t.Fatal(err)
+	}
+	if ix.workers != 3 {
+		t.Errorf("WithWorkers(3) gave %d workers", ix.workers)
 	}
 }
 

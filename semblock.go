@@ -215,7 +215,7 @@ type (
 	Indexer = stream.Indexer
 	// Row is one record to insert into an Indexer.
 	Row = stream.Row
-	// IndexerOption customises an Indexer (workers, snapshot name).
+	// IndexerOption customises an Indexer (workers).
 	IndexerOption = stream.Option
 )
 
@@ -224,11 +224,8 @@ func NewIndexer(cfg Config, opts ...IndexerOption) (*Indexer, error) {
 	return stream.NewIndexer(cfg, opts...)
 }
 
-// Indexer options.
-var (
-	WithWorkers     = stream.WithWorkers
-	WithIndexerName = stream.WithName
-)
+// WithWorkers sets an Indexer's signature workers / bucket shards.
+var WithWorkers = stream.WithWorkers
 
 // Collision-probability model of §5.1–§5.2.
 var (
