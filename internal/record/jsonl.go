@@ -2,7 +2,6 @@ package record
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,7 +12,9 @@ import (
 // format shared by JSONL dataset files, the serving layer's ingest bodies
 // (single row, row array, or bulk JSONL) and its snapshot segment files
 // (internal/server), mirroring what the entity_id column scheme does for
-// CSV. Keep every decoder on this one type so the formats cannot diverge.
+// CSV. The writers encode this type with encoding/json; every reader goes
+// through DecodeRows or ScanJSONL (decode.go), which accept exactly what
+// unmarshalling into this type accepts, so the formats cannot diverge.
 type JSONLRecord struct {
 	Entity *EntityID         `json:"entity,omitempty"`
 	Attrs  map[string]string `json:"attrs"`
@@ -67,27 +68,15 @@ func WriteJSONLRecords(w io.Writer, recs []*Record) error {
 }
 
 // ReadJSONL parses a dataset written by WriteJSONL (or any stream of
-// {"entity":ID,"attrs":{...}} lines). Blank lines are skipped; a missing
-// entity field yields UnknownEntity. Record IDs are assigned densely in
-// line order, as Dataset.Append always does.
+// {"entity":ID,"attrs":{...}} lines) through ScanJSONL. Blank lines are
+// skipped; a missing entity field yields UnknownEntity. Record IDs are
+// assigned densely in line order, as Dataset.Append always does.
 func ReadJSONL(r io.Reader, name string) (*Dataset, error) {
 	d := NewDataset(name)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for line := 1; sc.Scan(); line++ {
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var row JSONLRecord
-		if err := json.Unmarshal(raw, &row); err != nil {
-			return nil, fmt.Errorf("record: jsonl line %d: %w", line, err)
-		}
-		entity, attrs := row.Fields()
+	if err := ScanJSONL(r, func(entity EntityID, attrs map[string]string) {
 		d.Append(entity, attrs)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("record: read jsonl: %w", err)
+	}); err != nil {
+		return nil, err
 	}
 	return d, nil
 }

@@ -56,6 +56,10 @@ import (
 //
 // A row is {"entity":ID,"attrs":{...}} — the same wire format as
 // record.ReadJSONL/WriteJSONL, so a dataset file can be POSTed verbatim.
+// Rows are accepted exactly as encoding/json would accept them (one
+// decoder, record.DecodeRows/ScanJSONL, fuzzed against it), and an ingest
+// body is capped at 64 MiB (maxIngestBytes): a larger one answers 413
+// payload_too_large and ingests nothing.
 //
 // Every error response uses one JSON envelope,
 //
@@ -198,14 +202,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"traces": traces, "count": len(traces)})
 }
 
-// toRow normalises one wire record into an ingest row. The HTTP row shape
-// IS record.JSONLRecord — single-row, array and bulk-JSONL bodies all
-// decode through the one wire type, so the formats cannot drift apart.
-func toRow(row record.JSONLRecord) stream.Row {
-	entity, attrs := row.Fields()
-	return stream.Row{Entity: entity, Attrs: attrs}
-}
-
 // withCollection resolves the {name} path value or answers 404.
 func (s *Server) withCollection(h func(http.ResponseWriter, *http.Request, *Collection)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -269,48 +265,51 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"deleted": r.PathValue("name")})
 }
 
+// maxIngestBytes caps one ingest request body: about 300× the largest body
+// the benchmark workloads send, and small enough that a runaway client
+// cannot make one request hold unbounded memory.
+const maxIngestBytes = 64 << 20
+
 // handleIngest accepts a single row object, a JSON array of rows, or — for
 // bulk loads — a JSONL body (Content-Type application/x-ndjson or
-// application/jsonl) decoded by record.ReadJSONL, the same reader the serve
-// data dir uses.
+// application/jsonl). Both go through the record package's row decoder
+// (record.DecodeRows, record.ScanJSONL — the readers segment restore uses
+// too), which accepts rows exactly as encoding/json would. A body over
+// maxIngestBytes answers 413 payload_too_large; any rejected body ingests
+// nothing.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, c *Collection) {
+	if r.ContentLength > maxIngestBytes {
+		s.httpError(w, r, http.StatusRequestEntityTooLarge, codePayloadTooLarge,
+			fmt.Errorf("body of %d bytes exceeds the %d-byte ingest limit", r.ContentLength, maxIngestBytes))
+		return
+	}
+	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	var rows []stream.Row
+	add := func(entity record.EntityID, attrs map[string]string) {
+		rows = append(rows, stream.Row{Entity: entity, Attrs: attrs})
+	}
+	var err error
 	ct := r.Header.Get("Content-Type")
 	if strings.Contains(ct, "ndjson") || strings.Contains(ct, "jsonl") {
-		d, err := record.ReadJSONL(r.Body, c.Name())
-		if err != nil {
-			s.httpError(w, r, http.StatusBadRequest, codeInvalidRequest, err)
-			return
-		}
-		rows = make([]stream.Row, 0, d.Len())
-		for _, rec := range d.Records() {
-			rows = append(rows, stream.Row{Entity: rec.Entity, Attrs: rec.Attrs})
-		}
+		err = record.ScanJSONL(body, add)
 	} else {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			s.httpError(w, r, http.StatusBadRequest, codeInvalidRequest, err)
+		var buf bytes.Buffer
+		if r.ContentLength > 0 {
+			buf.Grow(int(r.ContentLength) + bytes.MinRead) // one read to EOF, no regrowth
+		}
+		if _, err = buf.ReadFrom(body); err == nil {
+			err = record.DecodeRows(buf.Bytes(), add)
+		}
+	}
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			s.httpError(w, r, http.StatusRequestEntityTooLarge, codePayloadTooLarge,
+				fmt.Errorf("body exceeds the %d-byte ingest limit", maxIngestBytes))
 			return
 		}
-		trimmed := bytes.TrimSpace(body)
-		if len(trimmed) > 0 && trimmed[0] == '[' {
-			var batch []record.JSONLRecord
-			if err := json.Unmarshal(trimmed, &batch); err != nil {
-				s.httpError(w, r, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("parse row array: %w", err))
-				return
-			}
-			rows = make([]stream.Row, 0, len(batch))
-			for _, row := range batch {
-				rows = append(rows, toRow(row))
-			}
-		} else {
-			var row record.JSONLRecord
-			if err := json.Unmarshal(trimmed, &row); err != nil {
-				s.httpError(w, r, http.StatusBadRequest, codeInvalidRequest, fmt.Errorf("parse row: %w", err))
-				return
-			}
-			rows = []stream.Row{toRow(row)}
-		}
+		s.httpError(w, r, http.StatusBadRequest, codeInvalidRequest, err)
+		return
 	}
 	ingestStart := time.Now()
 	ids, err := c.Ingest(rows)
@@ -321,6 +320,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, c *Collect
 	s.metrics.ingestDur.Observe(time.Since(ingestStart))
 	s.metrics.ingestBatches.Add(1)
 	s.metrics.ingestedRecords.Add(int64(len(ids)))
+	if ids == nil {
+		ids = []record.ID{} // an empty batch answers "ids": [], never null
+	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"ids": ids, "count": len(ids)})
 }
 
@@ -440,6 +442,7 @@ const (
 	codeConsumerExists       apiCode = "consumer_exists"       // 409
 	codeConsumerProtected    apiCode = "consumer_protected"    // 409: default group cannot be deleted
 	codeNoDataDir            apiCode = "no_data_dir"           // 409: persistence op without -data-dir
+	codePayloadTooLarge      apiCode = "payload_too_large"     // 413: ingest body over maxIngestBytes
 	codeDrainBusy            apiCode = "drain_busy"            // 503 + Retry-After: the group's delivery slot is taken
 	codePersistFailed        apiCode = "persist_failed"        // 500
 	codeStreamingUnsupported apiCode = "streaming_unsupported" // 500: transport cannot flush SSE

@@ -247,34 +247,9 @@ func LoadCollection(dir string) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range m.Segments {
-		seg := &m.Segments[i]
-		f, err := os.Open(filepath.Join(dir, seg.Name))
-		if err != nil {
-			return nil, fmt.Errorf("server: open segment: %w", err)
-		}
-		d, err := record.ReadJSONL(f, seg.Name)
-		if cerr := f.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("server: close segment %s: %w", seg.Name, cerr)
-		}
-		if err != nil {
+	for _, seg := range m.Segments {
+		if err := c.replaySegment(dir, seg); err != nil {
 			return nil, err
-		}
-		if d.Len() != seg.Records {
-			return nil, fmt.Errorf("server: segment %s holds %d records, manifest says %d",
-				seg.Name, d.Len(), seg.Records)
-		}
-		recs := d.Records()
-		for lo := 0; lo < len(recs); lo += replayChunk {
-			hi := lo + replayChunk
-			if hi > len(recs) {
-				hi = len(recs)
-			}
-			rows := make([]stream.Row, 0, hi-lo)
-			for _, r := range recs[lo:hi] {
-				rows = append(rows, stream.Row{Entity: r.Entity, Attrs: r.Attrs})
-			}
-			c.replayRows(rows)
 		}
 	}
 	if c.Len() != m.Records {
@@ -292,6 +267,36 @@ func LoadCollection(dir string) (*Collection, error) {
 	c.persisted = m.Records
 	c.generation = m.Generation
 	return c, nil
+}
+
+// replaySegment streams one segment file through record.ScanJSONL straight
+// into replayChunk-row replay batches — no intermediate Dataset — and
+// checks its record count against the manifest's.
+func (c *Collection) replaySegment(dir string, seg segmentInfo) error {
+	f, err := os.Open(filepath.Join(dir, seg.Name))
+	if err != nil {
+		return fmt.Errorf("server: open segment: %w", err)
+	}
+	defer f.Close()
+	n := 0
+	rows := make([]stream.Row, 0, replayChunk)
+	err = record.ScanJSONL(f, func(entity record.EntityID, attrs map[string]string) {
+		rows = append(rows, stream.Row{Entity: entity, Attrs: attrs})
+		if len(rows) == replayChunk {
+			c.replayRows(rows)
+			n += len(rows)
+			rows = rows[:0]
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("server: segment %s: %w", seg.Name, err)
+	}
+	c.replayRows(rows)
+	if n += len(rows); n != seg.Records {
+		return fmt.Errorf("server: segment %s holds %d records, manifest says %d",
+			seg.Name, n, seg.Records)
+	}
+	return nil
 }
 
 // liveFiles returns the set of file names a manifest references — the only

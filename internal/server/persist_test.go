@@ -303,6 +303,66 @@ func TestManifestRejectsOtherVersions(t *testing.T) {
 	}
 }
 
+// TestManifestSegmentChecked checks that restore, which streams each
+// segment into replay batches, still refuses a segment whose record count
+// disagrees with the manifest (including a nonsensical negative count) and
+// a segment with an undecodable line, naming the segment either way.
+func TestManifestSegmentChecked(t *testing.T) {
+	_, rows := coraFixture(t, 60)
+	dir := t.TempDir()
+	c, err := newCollection(baseSpec("segcheck", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ingest(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	seg := m.Segments[0].Name
+	for _, records := range []int{len(rows) - 1, len(rows) + 1, -1} {
+		m.Segments[0].Records = records
+		if err := writeManifest(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCollection(dir); err == nil || !strings.Contains(err.Error(), seg) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("manifest says %d", records)) {
+			t.Errorf("segment count %d: err %v, want one naming %s and the manifest's count", records, err, seg)
+		}
+	}
+	m.Segments[0].Records = len(rows)
+	if err := writeManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadCollection(dir); err != nil || got.Len() != len(rows) {
+		t.Fatalf("restored manifest: err %v, want the %d records back", err, len(rows))
+	}
+	f, err := os.OpenFile(filepath.Join(dir, seg), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("{\"attrs\":{\"title\":1}}\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("jsonl line %d", len(rows)+1)
+	if _, err := LoadCollection(dir); err == nil || !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), want) {
+		t.Errorf("corrupt segment: err %v, want one naming %s and %q", err, seg, want)
+	}
+}
+
 // TestKillRestartFromCheckpoint is the acceptance-criterion test: a restore
 // from the latest checkpoint reproduces the checkpointed state exactly
 // (batch-parity by replay), and catching the restored collection up yields

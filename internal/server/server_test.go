@@ -229,6 +229,104 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// blankLines is an endless body of 4 KiB whitespace lines: every line is
+// blank to the JSONL reader, so a body of it only fails on its size.
+type blankLines struct{ off int }
+
+func (b *blankLines) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+		if (b.off+i)%4096 == 4095 {
+			p[i] = '\n'
+		}
+	}
+	b.off += len(p)
+	return len(p), nil
+}
+
+// ingestRecorded POSTs body to the collection's records route in process
+// and returns the recorded response.
+func ingestRecorded(t *testing.T, h http.Handler, name, contentType string, body io.Reader, length int64) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest("POST", "/v1/collections/"+name+"/records", body)
+	req.Header.Set("Content-Type", contentType)
+	req.ContentLength = length
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestIngestBodyLimit checks that an ingest body one byte over the cap is
+// answered 413 payload_too_large and ingests nothing, whether the client
+// declares its length (rejected before reading) or streams it (rejected by
+// the bounded reader), while a body of exactly the cap is read. A streamed
+// JSON body would buffer the whole cap first, so only the JSONL branch is
+// streamed here.
+func TestIngestBodyLimit(t *testing.T) {
+	s, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.Create(CollectionSpec{Name: "cap", Attrs: []string{"name"}, Q: 2, K: 2, L: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	one := `{"attrs":{"name":"alice"}}`
+	if rec := ingestRecorded(t, h, "cap", "application/json", strings.NewReader(one), int64(len(one))); rec.Code != 200 {
+		t.Fatalf("seed ingest status %d: %s", rec.Code, rec.Body)
+	}
+	for _, tc := range []struct {
+		name, contentType string
+		size, length      int64
+		status            int
+		code              apiCode
+	}{
+		{"json declared", "application/json", maxIngestBytes + 1, maxIngestBytes + 1, 413, codePayloadTooLarge},
+		{"ndjson declared", "application/x-ndjson", maxIngestBytes + 1, maxIngestBytes + 1, 413, codePayloadTooLarge},
+		{"ndjson streamed", "application/x-ndjson", maxIngestBytes + 1, -1, 413, codePayloadTooLarge},
+		{"ndjson streamed at the cap", "application/x-ndjson", maxIngestBytes, -1, 200, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := io.LimitReader(&blankLines{}, tc.size)
+			rec := ingestRecorded(t, h, "cap", tc.contentType, body, tc.length)
+			var env struct {
+				Error struct {
+					Code apiCode `json:"code"`
+				} `json:"error"`
+			}
+			if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != tc.status || env.Error.Code != tc.code {
+				t.Fatalf("status %d code %q, want %d %q", rec.Code, env.Error.Code, tc.status, tc.code)
+			}
+			if c.Len() != 1 {
+				t.Fatalf("collection holds %d records after a rejected body, want 1", c.Len())
+			}
+		})
+	}
+}
+
+// TestIngestEmptyBatchIDs checks that an empty row array answers "ids": []
+// — a list, never null — like every other list in the API.
+func TestIngestEmptyBatchIDs(t *testing.T) {
+	s, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Create(CollectionSpec{Name: "empty", Attrs: []string{"name"}, Q: 2, K: 2, L: 8, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rec := ingestRecorded(t, s.Handler(), "empty", "application/json", strings.NewReader("[]"), 2)
+	if rec.Code != 200 {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if got := strings.TrimSpace(rec.Body.String()); got != `{"count":0,"ids":[]}` {
+		t.Fatalf("empty batch answered %s, want {\"count\":0,\"ids\":[]}", got)
+	}
+}
+
 // TestDefaultShardsClamped checks that an inherited server default shard
 // count is clamped to the collection's table count instead of rejecting a
 // spec that never asked for sharding; an explicit excess still fails.

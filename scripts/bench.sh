@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${PATTERN:-BenchmarkPipelineBlock|BenchmarkPipelineEndToEnd|BenchmarkPipelineBudget|BenchmarkBlockLSH|BenchmarkBlockSALSH|BenchmarkIndexerInsertBatch|BenchmarkServerIngest|BenchmarkCollectionIngest|BenchmarkSignBand}"
+PATTERN="${PATTERN:-BenchmarkPipelineBlock|BenchmarkPipelineEndToEnd|BenchmarkPipelineBudget|BenchmarkBlockLSH|BenchmarkBlockSALSH|BenchmarkIndexerInsertBatch|BenchmarkServerIngest|BenchmarkCollectionIngest|BenchmarkSignBand|BenchmarkDecodeRows}"
 BENCHTIME="${BENCHTIME:-1s}"
 COUNT="${COUNT:-1}"
 OUT="${OUT:-BENCH_pipeline.json}"
@@ -18,8 +18,10 @@ OUT="${OUT:-BENCH_pipeline.json}"
 # The root package holds the end-to-end benches (HTTP ServerIngest among
 # them); internal/server holds the in-process CollectionIngest bench whose
 # allocs/op track the shared-record-log ingest path per shard count;
-# internal/minhash holds the signature kernel's ns/eval bench.
-PKGS="${PKGS:-. ./internal/server ./internal/minhash}"
+# internal/minhash holds the signature kernel's ns/eval bench;
+# internal/record holds the row decoder's bench (encoding/json oracle vs
+# DecodeRows, ns/record and allocs/record).
+PKGS="${PKGS:-. ./internal/server ./internal/minhash ./internal/record}"
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
