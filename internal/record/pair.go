@@ -1,6 +1,6 @@
 package record
 
-import "sort"
+import "slices"
 
 // Pair is an unordered pair of record IDs packed into one uint64 with the
 // smaller ID in the high word. Packing keeps candidate-pair sets compact and
@@ -21,9 +21,10 @@ func (p Pair) Left() ID { return ID(p >> 32) }
 // Right returns the larger record ID of the pair.
 func (p Pair) Right() ID { return ID(p & 0xffffffff) }
 
-// SortPairs sorts pairs in ascending canonical order.
+// SortPairs sorts pairs in ascending canonical order — by the smaller ID,
+// then the larger — the one pair sort of the tree.
 func SortPairs(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
+	slices.Sort(ps)
 }
 
 // PairSet is a set of distinct record pairs.

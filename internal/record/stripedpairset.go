@@ -20,9 +20,11 @@ func pairMix(x uint64) uint64 {
 
 // StripedPairSet is a concurrent set of distinct record pairs, sharded over
 // independently locked stripes so that writers on different stripes never
-// contend. It replaces the single-mutex PairSet in the ingest hot paths
-// (stream.Indexer's ledger, server.Collection's global dedup), where one
-// global map serialised every worker's candidate-pair commits.
+// contend. It is stream.Indexer's ledger, where InsertBatch may be called
+// from many goroutines and one global map would serialise every worker's
+// candidate-pair commits. (server.Collection keeps no ledger: it files
+// records in ID order under one mutex, so sorting each record's group
+// deduplicates it.)
 //
 // The zero value is ready to use.
 type StripedPairSet struct {

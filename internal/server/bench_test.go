@@ -57,3 +57,34 @@ func BenchmarkCollectionIngest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCollectionRestore measures a cold restore: one iteration is one
+// LoadCollection of a 10k-record Cora checkpoint — segment decode, the
+// pair-free table replay, and the record-major rebuild of the canonical
+// emission sequence. The checkpoint is written once, outside the timer.
+func BenchmarkCollectionRestore(b *testing.B) {
+	_, rows := coraFixture(b, 10_000)
+	c, err := newCollection(baseSpec("restore", 4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.Ingest(rows); err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := c.Save(dir); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		restored, err := LoadCollection(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if restored.PairCount() != c.PairCount() {
+			b.Fatalf("restored %d pairs, saved %d", restored.PairCount(), c.PairCount())
+		}
+	}
+	b.ReportMetric(float64(c.PairCount()), "pairs")
+}

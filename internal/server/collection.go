@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,12 +36,14 @@ import (
 //
 // Candidate pairs enter the emission log in canonical emission order —
 // record-major (a record's pairs are queued when its ingest completes),
-// deduplicated against everything emitted before, sorted within one
-// record's freshly discovered group. The order depends only on the record
-// sequence, never on ingest batch boundaries, shard count, or worker
-// count; persistence relies on this to resume candidate delivery from
-// durable per-consumer-group cursors after a restore (see persist.go,
-// consumer.go).
+// sorted and deduplicated within one record's group. No history of emitted
+// pairs is kept or needed: records are filed in ID order, so a pair surfaces
+// only while its higher-ID record is inserted, and every repeat of it comes
+// from that same record's group (another table, shard or fan-out key). The
+// order depends only on the record sequence, never on ingest batch
+// boundaries, shard count, or worker count; persistence relies on this to
+// resume candidate delivery from durable per-consumer-group cursors after a
+// restore (see persist.go, consumer.go).
 //
 // All methods are safe for concurrent use. Ingest order is serialised per
 // collection (the ID-assignment mutex), while the shards of one ingest
@@ -52,20 +54,19 @@ type Collection struct {
 
 	mu  sync.Mutex        // serialises ingest (ID assignment), drains, snapshots
 	log *stream.SharedLog // the one record log + staging pass all shards share
-	// seen is the global dedup ledger of every candidate pair ever merged
-	// from the shards. It is striped (independently locked shards of the
-	// pair space) so the canonical merge can deduplicate one batch's records
-	// in parallel instead of serialising every pair through c.mu.
-	seen record.StripedPairSet
 
 	// emitted is the retained tail of the canonical emission sequence:
 	// emitted[i] is sequence position emitBase+i, and emitBase+len(emitted)
-	// always equals seen.Len(). The prefix every consumer group has
-	// acknowledged is trimmed away (see trimLocked); a group created from
-	// the start reconstructs it from the tables. Appended under mu; popped
-	// windows are read-only views, never mutated in place.
+	// is the number of distinct pairs ever emitted. The prefix every
+	// consumer group has acknowledged is trimmed away (see trimLocked); a
+	// group created from the start reconstructs it from the tables.
+	// Appended under mu; popped windows are read-only views, never mutated
+	// in place. emitDead counts the pairs trimmed since trimLocked last
+	// copied the tail, which may still sit in front of emitted in its
+	// backing array.
 	emitted  []record.Pair
 	emitBase int
+	emitDead int
 
 	// groups are the named durable cursors into the emission sequence (see
 	// consumer.go). The default group always exists. Guarded by mu.
@@ -157,7 +158,7 @@ func (c *Collection) Len() int {
 func (c *Collection) PairCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.seen.Len()
+	return c.totalLocked()
 }
 
 // Ingest appends a batch of records to the collection and returns their
@@ -165,10 +166,9 @@ func (c *Collection) PairCount() int {
 // once — which computes each record's signature stage exactly once, on the
 // collection's worker pool — then handed to every shard concurrently; each
 // shard fills only its own hash tables from the precomputed stages. The
-// shards' freshly discovered collision pairs are merged into the single
-// collection ledger in canonical emission order (record-major,
-// deduplicated, sorted within one record's group) and queued for the
-// consumer groups.
+// shards' collision pairs are merged in canonical emission order
+// (record-major, sorted and deduplicated within one record's group) and
+// queued for the consumer groups.
 func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 	if len(rows) == 0 {
 		return nil, nil
@@ -188,37 +188,25 @@ func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 		}(si, sh)
 	}
 	wg.Wait()
-	// Canonical merge. The same pair may surface in several shards (it can
-	// collide in tables owned by different shards) or repeatedly over time;
-	// the global seen set keeps exactly one copy. Sorting each record's
-	// fresh group makes the queue order a pure function of the record
-	// sequence — independent of batch boundaries, shard count, and worker
-	// count — which is what lets the persisted drain cursor (a plain count)
-	// resume delivery exactly after a replay.
-	//
-	// The per-record dedup runs in parallel: every pair in record i's group
-	// has Right() == batch.IDs[i] (a pair is discovered when its higher-ID
-	// record arrives), so two distinct batch records can never contribute
-	// the same pair and the striped seen set resolves same-record repeats
-	// across shards atomically. Only the final in-order queue append is
-	// sequential.
-	fresh := make([][]record.Pair, len(rows))
+	// Canonical merge. Every pair in record i's group has Right() ==
+	// batch.IDs[i]: records are filed in ID order, so a pair surfaces only
+	// while its higher-ID record is inserted. A repeat therefore comes only
+	// from the same record's group — another table, shard or fan-out key —
+	// and sorting the group and dropping adjacent equals removes it with no
+	// ledger of earlier emissions. Sorting also makes the queue order a pure
+	// function of the record sequence — independent of batch boundaries,
+	// shard count, and worker count — which is what lets the persisted
+	// drain cursor (a plain count) resume delivery exactly after a replay.
+	// Groups are disjoint, so the per-record merge runs in parallel; only
+	// the final in-order queue append is sequential.
+	groups := flattenGroups(perShard, len(rows))
 	engine.ParallelChunks(len(rows), engine.Workers(c.spec.Workers), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			var g []record.Pair
-			for si := range perShard {
-				for _, p := range perShard[si].Group(i) {
-					if c.seen.AddPair(p) {
-						g = append(g, p)
-					}
-				}
-			}
-			record.SortPairs(g)
-			fresh[i] = g
+			groups[i] = dedupGroup(groups[i])
 		}
 	})
 	added := 0
-	for _, g := range fresh {
+	for _, g := range groups {
 		c.emitted = append(c.emitted, g...)
 		added += len(g)
 	}
@@ -230,14 +218,45 @@ func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 	return batch.IDs, nil
 }
 
+// flattenGroups lays the shards' raw collision groups of an n-record batch
+// into one record-major buffer — one allocation per batch, not one per
+// record — and returns each record's group as a subslice of it: group i
+// holds record i's pairs from every shard.
+func flattenGroups(perShard []stream.PairGroups, n int) [][]record.Pair {
+	groups := make([][]record.Pair, n)
+	total := 0
+	for si := range perShard {
+		total += len(perShard[si].Pairs())
+	}
+	buf := make([]record.Pair, 0, total)
+	for i := range groups {
+		lo := len(buf)
+		for si := range perShard {
+			buf = append(buf, perShard[si].Group(i)...)
+		}
+		groups[i] = buf[lo:len(buf):len(buf)]
+	}
+	return groups
+}
+
+// dedupGroup is the canonical merge kernel shared by ingest and restore: it
+// sorts one record's raw collision group in place and drops adjacent
+// repeats, returning the distinct pairs in canonical order as a prefix of
+// g. It allocates nothing.
+//
+//semblock:hotpath
+func dedupGroup(g []record.Pair) []record.Pair {
+	record.SortPairs(g)
+	return slices.Compact(g)
+}
+
 // replayRows rebuilds the hash tables from a persisted record batch
 // without any candidate-pair bookkeeping: the shared log stages the rows
 // once and every shard files them through stream.ReplayStaged, which
 // discards the collision groups. LoadCollection calls this for every
-// replayed chunk and then reconstructs the whole pair ledger in one pass
-// with rebuildLedger — collecting, deduplicating and sorting per-record
-// groups during replay would redo work whose outcome is already determined
-// by the final table contents.
+// replayed chunk and then reconstructs the emission sequence in one
+// record-major pass with rebuildLedger, after the last chunk, instead of
+// materialising every chunk's groups along the way.
 func (c *Collection) replayRows(rows []stream.Row) {
 	if len(rows) == 0 {
 		return
@@ -257,34 +276,62 @@ func (c *Collection) replayRows(rows []stream.Row) {
 }
 
 // canonicalSeqLocked reconstructs the full canonical emission sequence from
-// the current table contents (caller holds c.mu). It relies on two
-// structural facts of the ingest path: the set of pairs ever emitted equals
-// the set of co-bucketed pairs (a pair is emitted exactly when its records
-// first share a bucket), and the canonical emission order is the pair set
-// sorted by (higher ID, lower ID) — a pair is always discovered when its
-// higher-ID record is ingested, record groups are queued in record order,
-// and each group is sorted by the lower ID. Together they make the sequence
-// a pure function of the final snapshot, which is what lets restore replay
-// records through the pair-free fast path and lets a from-start consumer
-// group recover a prefix other groups already released.
+// the current table contents (caller holds c.mu). It replays the ingest
+// merge record-major over the snapshot: a bucket lists its members in ID
+// order, so the members in front of record r in each of r's blocks are
+// exactly the records r collided with when it was filed, and record r's
+// group is those lower-ID members, sorted and deduplicated by dedupGroup —
+// the kernel Ingest runs. The sequence is therefore a pure function of the
+// final snapshot, which is what lets restore replay records through the
+// pair-free fast path and lets a from-start consumer group recover a prefix
+// other groups already released.
+//
+// Memory is the output, a CSR index of the snapshot's (block, position)
+// slots grouped by record, and one record's scratch group — never the raw
+// comparisons of the whole snapshot, which are up to l times the distinct
+// pairs when buckets are skewed.
 func (c *Collection) canonicalSeqLocked() []record.Pair {
-	seen := c.snapshotLocked().CandidatePairs()
-	seq := make([]record.Pair, 0, seen.Len())
-	for p := range seen {
-		seq = append(seq, p)
-	}
-	sort.Slice(seq, func(i, j int) bool {
-		if ri, rj := seq[i].Right(), seq[j].Right(); ri != rj {
-			return ri < rj
+	blocks := c.snapshotLocked().Blocks
+	n := c.log.Len()
+	// start[r]:start[r+1] are record r's slots, in block order.
+	type slot struct{ block, pos int32 }
+	start := make([]int, n+1)
+	for _, b := range blocks {
+		for _, id := range b {
+			start[id+1]++
 		}
-		return seq[i].Left() < seq[j].Left()
-	})
+	}
+	for r := 0; r < n; r++ {
+		start[r+1] += start[r]
+	}
+	slots := make([]slot, start[n])
+	for bi, b := range blocks {
+		for pos, id := range b {
+			slots[start[id]] = slot{int32(bi), int32(pos)}
+			start[id]++
+		}
+	}
+	// The fill advanced start[r] to record r's end; shift it back.
+	copy(start[1:], start[:n])
+	start[0] = 0
+
+	seq := make([]record.Pair, 0, c.totalLocked())
+	var group []record.Pair
+	for r := 0; r < n; r++ {
+		group = group[:0]
+		for _, s := range slots[start[r]:start[r+1]] {
+			for _, m := range blocks[s.block][:s.pos] {
+				group = append(group, record.MakePair(m, record.ID(r)))
+			}
+		}
+		seq = append(seq, dedupGroup(group)...)
+	}
 	return seq
 }
 
-// rebuildLedger reconstructs the candidate-pair ledger from the current
-// table contents and installs the manifest's consumer groups at their
-// durable cursors (see canonicalSeqLocked for why the sequence is
+// rebuildLedger reconstructs the canonical emission sequence from the
+// current table contents and installs the manifest's consumer groups at
+// their durable cursors (see canonicalSeqLocked for why the sequence is
 // recoverable at all). The default group is created at cursor 0 if the
 // manifest does not name it; the acknowledged common prefix is trimmed
 // immediately so a restore never pins already-delivered pairs.
@@ -303,12 +350,9 @@ func (c *Collection) rebuildLedger(consumers []consumerManifest) error {
 	if _, ok := groups[DefaultConsumer]; !ok {
 		groups[DefaultConsumer] = &consumerGroup{name: DefaultConsumer}
 	}
-	c.seen.Reset()
-	for _, p := range seq {
-		c.seen.AddPair(p)
-	}
 	c.emitted = seq
 	c.emitBase = 0
+	c.emitDead = 0
 	c.groups = groups
 	// Release the prefix every group has acknowledged so the restored
 	// collection does not pin already-delivered pairs.
@@ -547,7 +591,7 @@ func (c *Collection) Stats() Stats {
 		Technique:        c.cfg.Technique(),
 		Shards:           len(c.shards),
 		Records:          c.log.Len(),
-		Pairs:            c.seen.Len(),
+		Pairs:            c.totalLocked(),
 		PendingPairs:     c.totalLocked() - def.cursor - def.inflight,
 		DrainedPairs:     def.cursor,
 		Consumers:        c.consumersLocked(),

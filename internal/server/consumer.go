@@ -123,8 +123,8 @@ type ConsumerBatch struct {
 	Total int
 }
 
-// totalLocked is the collection-wide emission count (caller holds c.mu).
-// Invariant: equals c.seen.Len().
+// totalLocked is the collection-wide emission count — the number of
+// distinct candidate pairs ever emitted (caller holds c.mu).
 func (c *Collection) totalLocked() int { return c.emitBase + len(c.emitted) }
 
 // broadcastLocked wakes every blocked waiter (long-polls, SSE streams,
@@ -147,19 +147,28 @@ func (c *Collection) minCursorLocked() int {
 	return min
 }
 
-// trimLocked releases the emission-log prefix every group has acknowledged:
-// the tail is copied to a fresh backing array so the drained prefix is
-// garbage, not pinned. In-flight windows sit above their group's cursor, so
-// a trim can never drop pairs an unsettled delivery still references (and
-// popped slices stay valid regardless — the old backing array is never
-// mutated). Caller holds c.mu.
+// trimLocked releases the emission-log prefix every group has acknowledged.
+// It reslices while the dead prefix is smaller than the live tail and
+// copies the tail to a fresh backing array only once the dead prefix is at
+// least as large, so the drained prefix never pins more than the live tail
+// does and a consumer acking a backlog in small steps costs amortised O(1)
+// per pair, not O(pending) per ack. In-flight windows sit above their
+// group's cursor, so a trim can never drop pairs an unsettled delivery
+// still references (and popped slices stay valid regardless — the log only
+// ever appends past its end, it never rewrites a position). Caller holds
+// c.mu.
 func (c *Collection) trimLocked() {
 	min := c.minCursorLocked()
 	if min <= c.emitBase {
 		return
 	}
-	c.emitted = append([]record.Pair(nil), c.emitted[min-c.emitBase:]...)
+	c.emitDead += min - c.emitBase
+	c.emitted = c.emitted[min-c.emitBase:]
 	c.emitBase = min
+	if c.emitDead >= len(c.emitted) {
+		c.emitted = append([]record.Pair(nil), c.emitted...)
+		c.emitDead = 0
+	}
 }
 
 // unknownConsumer renders the ErrUnknownConsumer error for one group name.
@@ -231,6 +240,7 @@ func (c *Collection) CreateConsumer(name string, fromEnd bool) (ConsumerStats, e
 		// rebuild the full canonical sequence from the tables.
 		c.emitted = c.canonicalSeqLocked()
 		c.emitBase = 0
+		c.emitDead = 0
 	}
 	c.groups[name] = g
 	return c.statsLocked(g), nil

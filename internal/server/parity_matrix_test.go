@@ -14,8 +14,9 @@ import (
 // same candidate set at every worker count, and a shared-log collection the
 // same set at every shard count — parallelism and sharding spread work, they
 // never change results. The CI race job runs this under -race, so the matrix
-// also exercises the striped dedup ledger and the arena-backed signature
-// paths for data races at every parallelism level.
+// also exercises the stream indexer's striped dedup ledger, the collection's
+// parallel per-record merge and the arena-backed signature paths for data
+// races at every parallelism level.
 func TestParityMatrixWorkersShards(t *testing.T) {
 	d, rows := coraFixture(t, 250)
 	spec := baseSpec("matrix", 1)

@@ -253,6 +253,11 @@ type Indexer struct {
 	pendingMu sync.Mutex
 	pending   []record.Pair // emitted but not yet drained by Candidates
 
+	// lastPairs and lastRecords size InsertStaged's previous batch: its
+	// collision pairs per record presize the next batch's per-shard pair
+	// buffers, so a batch grows them about once, not once per doubling.
+	lastPairs, lastRecords atomic.Int64
+
 	shards []*shard
 }
 
@@ -433,35 +438,46 @@ func (g *PairGroups) Pairs() []record.Pair { return g.pairs }
 // InsertStaged files an already-staged mini-batch (SharedLog.Append) into
 // this index's hash tables and returns the raw collision pairs grouped per
 // batch record: Group(i) holds the pairs record b.IDs[i] collided into,
-// in this index's table order, not deduplicated against earlier emissions.
-// Unlike Insert/InsertBatch it does NOT touch the index's own candidate
-// ledger — the caller owns deduplication and delivery. This is the serving
-// layer's fan-out primitive: the collection appends a batch to the shared
-// log once, hands the staged batch to every shard, and merges the returned
-// groups into its single global ledger in canonical record order.
+// in this index's table order, not deduplicated. When batches are filed in
+// the order the log assigned their IDs (the collection files them under
+// one mutex), a record collides only with earlier ones, so every pair in
+// Group(i) has Right() == b.IDs[i]. Unlike Insert/InsertBatch it does NOT
+// touch the index's own candidate ledger — the caller owns deduplication
+// and delivery. This is the serving layer's fan-out primitive: the
+// collection appends a batch to the shared log once, hands the staged batch
+// to every shard, and merges the returned groups record by record in
+// canonical order.
 func (ix *Indexer) InsertStaged(b StagedBatch) PairGroups {
 	if len(b.IDs) == 0 {
 		return PairGroups{}
 	}
 	keys := ix.bandKeys(b.stages)
+	// Never presize beyond what the previous batch actually held: after a
+	// skewed batch the hint shrinks back within one batch.
+	hint := 0
+	if pairs, recs := ix.lastPairs.Load(), ix.lastRecords.Load(); recs > 0 {
+		hint = int(min(pairs, pairs*int64(len(b.IDs))/recs)) / len(ix.shards)
+	}
 
 	// Bucket updates, one goroutine per shard, records in order, collision
 	// pairs accumulated flat with per-record offsets.
 	perShard := make([]PairGroups, len(ix.shards))
 	ix.eachShard(len(b.IDs), func(si int, sh *shard) {
-		g := PairGroups{off: make([]int, len(b.IDs)+1)}
+		g := PairGroups{pairs: make([]record.Pair, 0, hint), off: make([]int, len(b.IDs)+1)}
 		for i, id := range b.IDs {
 			g.pairs = sh.insert(ix.signer, id, ix.recordKeys(keys, i), b.stages[i].Sem(), g.pairs, true)
 			g.off[i+1] = len(g.pairs)
 		}
 		perShard[si] = g
 	})
-	if len(ix.shards) == 1 {
-		return perShard[0]
-	}
 	total := 0
 	for _, g := range perShard {
 		total += len(g.pairs)
+	}
+	ix.lastPairs.Store(int64(total))
+	ix.lastRecords.Store(int64(len(b.IDs)))
+	if len(ix.shards) == 1 {
+		return perShard[0]
 	}
 	out := PairGroups{pairs: make([]record.Pair, 0, total), off: make([]int, len(b.IDs)+1)}
 	for i := range b.IDs {
