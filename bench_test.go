@@ -119,6 +119,38 @@ func BenchmarkBlockSALSH(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockVoterSALSH measures SA-LSH blocking in the paper's NC Voter
+// setting — 20,000 voter records, q=2 k=9 l=15, w=12 OR over the full
+// signature — where short keys make table build and the OR keying, not
+// signing, the bulk of the work.
+func BenchmarkBlockVoterSALSH(b *testing.B) {
+	cfg := datagen.DefaultVoterConfig()
+	cfg.Records = 20_000
+	d := datagen.Voter(cfg)
+	fn, err := semblock.NewVoterSemantics(semblock.VoterTaxonomy())
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema, err := semblock.BuildSchema(fn, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk, err := semblock.New(semblock.Config{
+		Attrs: []string{"first_name", "last_name"}, Q: 2, K: 9, L: 15, Seed: 1,
+		Semantic: &semblock.SemanticOption{Schema: schema, W: 12, Mode: semblock.ModeOR},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := blk.Block(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSemhashSignatures measures Algorithm 1 signature generation
 // over the full dataset.
 func BenchmarkSemhashSignatures(b *testing.B) {

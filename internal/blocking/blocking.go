@@ -69,14 +69,17 @@ func (r *Result) Comparisons() int64 {
 
 // CandidatePairs returns Γ: the distinct record pairs co-occurring in at
 // least one block. The set is computed once and cached.
+//
+// The map is presized to min(Comparisons, NumBlocks): the raw comparison
+// count overstates the distinct pairs many times over when blocks overlap
+// (SA-LSH's per-bit blocks), and a map sized for it costs more to allocate
+// and clear than the growth it saves; for pair-blocks (what pruning emits)
+// the block count is exact.
 func (r *Result) CandidatePairs() record.PairSet {
 	if r.pairs != nil {
 		return r.pairs
 	}
-	est := r.Comparisons()
-	if est > 1<<24 {
-		est = 1 << 24
-	}
+	est := min(r.Comparisons(), int64(r.NumBlocks()), 1<<24)
 	ps := record.NewPairSet(int(est))
 	for _, b := range r.Blocks {
 		for i := 0; i < len(b); i++ {

@@ -8,16 +8,18 @@
 // share. The batch path (lsh.Blocker.Block) fills fresh Tables in parallel,
 // one worker per table; the streaming path (stream.Indexer) fills the same
 // Tables incrementally inside its shards and exports them on Snapshot. Both
-// paths insert with Table.Insert and export with AppendBlocks, which is
-// what enforces the batch/stream parity guarantee by construction: a
-// streamed snapshot and a batch build over the same records run the same
-// bucketing and the same export code, so they can only differ if the
-// per-record keys differ — and those come from the single shared
-// lsh.Signer.BucketKeys.
+// paths file a record under at most one key per table with Table.Insert
+// and export through lsh.Signer.AppendBlocks (AppendBlocks here, or its
+// per-bit split of each bucket in SA-LSH's OR mode), which is what enforces
+// the batch/stream parity guarantee by construction: a streamed snapshot
+// and a batch build over the same records run the same bucketing and the
+// same export code, so they can only differ if the per-record band keys
+// differ — and those come from the single shared lsh.Signer.BandKeys.
 package engine
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,6 +48,7 @@ type Table struct {
 
 	buckets []bucket
 	arena   idArena
+	shared  int // buckets with at least two members
 }
 
 // bucket is one key's member list. ids points into the table's arena
@@ -116,7 +119,7 @@ func mix64(x uint64) uint64 {
 
 // NewTable returns an empty table. sizeHint is the expected number of
 // distinct keys — pass the dataset cardinality for batch builds (each
-// record files under at most a few keys per table) or 0 when unknown.
+// record files under at most one key per table) or 0 when unknown.
 func NewTable(sizeHint int) *Table {
 	t := &Table{}
 	slots := 16
@@ -140,6 +143,7 @@ func (t *Table) Reset() {
 	}
 	t.buckets = t.buckets[:0]
 	t.arena.reset()
+	t.shared = 0
 }
 
 // grow doubles the slot array and re-files every bucket.
@@ -171,6 +175,9 @@ func (t *Table) Insert(key uint64, id record.ID) []record.ID {
 		}
 		if b := &t.buckets[s-1]; b.key == key {
 			prior := b.ids
+			if len(prior) == 1 {
+				t.shared++
+			}
 			if len(b.ids) == cap(b.ids) {
 				grown := t.arena.alloc(2 * cap(b.ids))
 				grown = grown[:len(b.ids)]
@@ -203,8 +210,14 @@ func (t *Table) Insert(key uint64, id record.ID) []record.ID {
 // Len returns the number of distinct buckets (including singletons).
 func (t *Table) Len() int { return len(t.buckets) }
 
+// Shared returns the number of buckets with at least two members — the
+// blocks AppendBlocks exports at minSize 2, and what exports size their
+// output by.
+func (t *Table) Shared() int { return t.shared }
+
 // Buckets calls fn for every bucket in first-touch order. The ids slice is
-// shared with the table; fn must not retain or mutate it.
+// shared with the table; fn must not mutate it, and may retain it only as
+// AppendBlocks aliases bucket storage: until the table is Reset.
 func (t *Table) Buckets(fn func(key uint64, ids []record.ID)) {
 	for i := range t.buckets {
 		fn(t.buckets[i].key, t.buckets[i].ids)
@@ -217,8 +230,13 @@ func (t *Table) Buckets(fn func(key uint64, ids []record.ID)) {
 // subsequent inserts (streaming snapshots); batch builds, whose tables are
 // discarded after the merge, pass false and alias the bucket storage.
 //
-// This is the single block-export routine of both construction modes.
+// This is the block export of plain LSH and AND mode, for both
+// construction modes; SA-LSH's OR mode splits each bucket into per-bit
+// blocks instead (lsh.Signer.AppendBlocks chooses).
 func AppendBlocks(dst [][]record.ID, t *Table, minSize int, copyIDs bool) [][]record.ID {
+	if minSize == 2 {
+		dst = slices.Grow(dst, t.shared)
+	}
 	for i := range t.buckets {
 		ids := t.buckets[i].ids
 		if len(ids) < minSize {
@@ -232,11 +250,14 @@ func AppendBlocks(dst [][]record.ID, t *Table, minSize int, copyIDs bool) [][]re
 	return dst
 }
 
-// KeyFunc returns the bucket keys a record files under in one hash table,
-// appended to dst (callers pass dst[:0] to reuse the buffer). It must be
-// safe for concurrent calls with distinct dst buffers: Build invokes it
-// from every worker.
-type KeyFunc func(table int, id record.ID, dst []uint64) []uint64
+// KeyFunc returns the one bucket key a record files under in a hash table,
+// and false when the record files under no key there. It must be safe for
+// concurrent calls: Build invokes it from every worker.
+type KeyFunc func(table int, id record.ID) (key uint64, ok bool)
+
+// ExportFunc turns one finished table into its blocks. It must be safe for
+// concurrent calls on distinct tables.
+type ExportFunc func(table int, t *Table) [][]record.ID
 
 // Spec describes one parallel table build.
 type Spec struct {
@@ -245,8 +266,10 @@ type Spec struct {
 	// Records is the dataset cardinality n; every table sees records
 	// 0..n-1 in ID order. It also sizes each table's bucket map.
 	Records int
-	// Keys yields the bucket keys of a record in a table.
-	Keys KeyFunc
+	// Key yields a record's bucket key in a table.
+	Key KeyFunc
+	// Export turns each finished table into its blocks.
+	Export ExportFunc
 	// Workers caps the worker pool (0 = GOMAXPROCS). Build never uses
 	// more workers than tables. The worker count does not change the
 	// output, only how the tables are spread over goroutines.
@@ -254,11 +277,11 @@ type Spec struct {
 }
 
 // Build constructs every table of the spec concurrently and returns the
-// concatenation of the per-table blocks in table order. A table's blocks
-// are its buckets with >= 2 members (AppendBlocks); within a table they
-// appear in bucket first-touch order and bucket members in record
-// ID order, so the result is byte-for-byte deterministic for a fixed
-// configuration — independent of the worker count.
+// concatenation of the per-table blocks (Export) in table order. Every
+// table sees records 0..n-1 in ID order, so with a deterministic Export —
+// AppendBlocks keeps bucket first-touch order and members in ID order —
+// the result is byte-for-byte deterministic for a fixed configuration,
+// independent of the worker count.
 func Build(spec Spec) [][]record.ID {
 	if spec.Tables <= 0 {
 		return nil
@@ -274,7 +297,6 @@ func Build(spec Spec) [][]record.ID {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			keys := make([]uint64, 0, 8)
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= spec.Tables {
@@ -282,12 +304,11 @@ func Build(spec Spec) [][]record.ID {
 				}
 				tb := NewTable(spec.Records)
 				for id := 0; id < spec.Records; id++ {
-					keys = spec.Keys(t, record.ID(id), keys[:0])
-					for _, k := range keys {
-						tb.Insert(k, record.ID(id))
+					if key, ok := spec.Key(t, record.ID(id)); ok {
+						tb.Insert(key, record.ID(id))
 					}
 				}
-				perTable[t] = AppendBlocks(nil, tb, 2, false)
+				perTable[t] = spec.Export(t, tb)
 			}
 		}()
 	}

@@ -10,9 +10,12 @@ import (
 
 // modKeys files record id under id % (table+2): a tiny deterministic
 // multi-table keying with collisions in every table.
-func modKeys(table int, id record.ID, dst []uint64) []uint64 {
-	return append(dst, uint64(int(id)%(table+2)))
+func modKeys(table int, id record.ID) (uint64, bool) {
+	return uint64(int(id) % (table + 2)), true
 }
+
+// buckets exports every bucket with at least two members, aliased.
+func buckets(_ int, t *Table) [][]record.ID { return AppendBlocks(nil, t, 2, false) }
 
 func TestTableInsertOrder(t *testing.T) {
 	tb := NewTable(8)
@@ -55,13 +58,13 @@ func TestAppendBlocksCopy(t *testing.T) {
 // block-for-block in order — the engine's core guarantee.
 func TestBuildDeterministic(t *testing.T) {
 	const tables, records = 17, 500
-	base := Build(Spec{Tables: tables, Records: records, Keys: modKeys, Workers: 1})
+	base := Build(Spec{Tables: tables, Records: records, Key: modKeys, Export: buckets, Workers: 1})
 	if len(base) == 0 {
 		t.Fatal("serial build produced no blocks")
 	}
 	for _, workers := range []int{2, 3, 8, 64} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := Build(Spec{Tables: tables, Records: records, Keys: modKeys, Workers: workers})
+			got := Build(Spec{Tables: tables, Records: records, Key: modKeys, Export: buckets, Workers: workers})
 			if !reflect.DeepEqual(got, base) {
 				t.Fatalf("parallel build (workers=%d) differs from serial: %d vs %d blocks",
 					workers, len(got), len(base))
@@ -88,7 +91,7 @@ func TestBuildFinish(t *testing.T) {
 			}
 		}
 	}
-	got := Build(Spec{Tables: tables, Records: records, Keys: modKeys, Workers: 3})
+	got := Build(Spec{Tables: tables, Records: records, Key: modKeys, Export: buckets, Workers: 3})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Build = %v, want %v", got, want)
 	}
@@ -98,7 +101,7 @@ func TestBuildFinish(t *testing.T) {
 // many tables, shared KeyFunc closure, maximum worker fan-out.
 func TestBuildConcurrent(t *testing.T) {
 	const tables, records = 64, 300
-	blocks := Build(Spec{Tables: tables, Records: records, Keys: modKeys, Workers: 32})
+	blocks := Build(Spec{Tables: tables, Records: records, Key: modKeys, Export: buckets, Workers: 32})
 	// Every table t buckets ids mod (t+2), so table t contributes exactly
 	// t+2 blocks (records >> tables) and the total is known.
 	want := 0
@@ -111,15 +114,15 @@ func TestBuildConcurrent(t *testing.T) {
 }
 
 func TestBuildEdgeCases(t *testing.T) {
-	if got := Build(Spec{Tables: 0, Records: 5, Keys: modKeys}); got != nil {
+	if got := Build(Spec{Tables: 0, Records: 5, Key: modKeys, Export: buckets}); got != nil {
 		t.Errorf("zero tables produced %v", got)
 	}
-	if got := Build(Spec{Tables: 3, Records: 0, Keys: modKeys}); len(got) != 0 {
+	if got := Build(Spec{Tables: 3, Records: 0, Key: modKeys, Export: buckets}); len(got) != 0 {
 		t.Errorf("zero records produced %v", got)
 	}
 	// Keys yielding nothing (e.g. AND mode excluding all records).
-	none := func(int, record.ID, []uint64) []uint64 { return nil }
-	if got := Build(Spec{Tables: 3, Records: 5, Keys: func(_ int, _ record.ID, dst []uint64) []uint64 { return none(0, 0, dst) }}); len(got) != 0 {
+	none := func(int, record.ID) (uint64, bool) { return 0, false }
+	if got := Build(Spec{Tables: 3, Records: 5, Key: none, Export: buckets}); len(got) != 0 {
 		t.Errorf("empty keying produced %v", got)
 	}
 }

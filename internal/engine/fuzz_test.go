@@ -74,6 +74,9 @@ func applyOps(t *testing.T, data []byte) {
 	if flat.Len() != len(oracle.buckets) {
 		t.Fatalf("bucket count %d, oracle %d", flat.Len(), len(oracle.buckets))
 	}
+	if got, want := flat.Shared(), len(oracle.blocks(2)); got != want {
+		t.Fatalf("%d buckets with two or more members, oracle %d", got, want)
+	}
 	// First-touch export order and bucket contents must match exactly.
 	j := 0
 	flat.Buckets(func(key uint64, ids []record.ID) {

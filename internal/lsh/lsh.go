@@ -148,26 +148,29 @@ func (b *Blocker) Config() Config { return b.cfg }
 
 // Block groups the dataset into blocks. Records are staged and their active
 // bands signed on a worker pool, each worker signing into its own k·l
-// scratch and keeping only the l band keys per record; the l table builds
-// then run through internal/engine (both pools capped by Config.Workers).
-// Band keys are laid out table-major — keys[t·n+i] — so a table build scans
-// its n keys sequentially. Returns *SparseIDError if the dataset's record
-// IDs are not dense 0..n-1.
+// scratch and keeping only the l band keys per record, and each record's
+// semhash words land in one flat array; the l table builds then run through
+// internal/engine (both pools capped by Config.Workers), filing a record
+// once per active table under its band key and exporting through
+// AppendBlocks. Band keys are laid out table-major — keys[t·n+i] — so a
+// table build scans its n keys sequentially. Returns *SparseIDError if the
+// dataset's record IDs are not dense 0..n-1.
 func (b *Blocker) Block(d *record.Dataset) (*blocking.Result, error) {
 	if err := ValidateDenseIDs(d); err != nil {
 		return nil, err
 	}
-	s, n := b.signer, d.Len()
+	s, n, w := b.signer, d.Len(), b.signer.words
 	keys := make([]uint64, b.cfg.L*n)
-	sems := make([]semantic.BitVec, n)
+	sems := make([]uint64, n*w)
 	engine.ParallelChunks(n, engine.Workers(b.cfg.Workers), func(lo, hi int) {
 		sig := make([]uint64, b.cfg.K*b.cfg.L)
-		var hashes, semArena []uint64
+		var st Stage
 		for i := lo; i < hi; i++ {
 			r := d.Record(record.ID(i))
-			hashes = s.AppendKeyHashes(r, hashes[:0])
-			sems[i], semArena = s.AppendSemSign(r, semArena)
-			st := Stage{hashes: hashes, sem: sems[i]}
+			st.hashes = s.AppendKeyHashes(r, st.hashes[:0])
+			// The record's w words are appended in place: the arena has
+			// exactly that capacity.
+			st.sem, _ = s.AppendSemSign(r, sems[i*w:i*w:(i+1)*w])
 			s.BandKeys(&st, s.all, sig, keys[i:], n)
 		}
 	})
@@ -176,8 +179,11 @@ func (b *Blocker) Block(d *record.Dataset) (*blocking.Result, error) {
 		Tables:  b.cfg.L,
 		Records: n,
 		Workers: b.cfg.Workers,
-		Keys: func(table int, id record.ID, dst []uint64) []uint64 {
-			return s.FanOut(table, keys[table*n+int(id)], sems[id], dst)
+		Key: func(table int, id record.ID) (uint64, bool) {
+			return keys[table*n+int(id)], s.Active(table, sems[int(id)*w:])
+		},
+		Export: func(table int, tb *engine.Table) [][]record.ID {
+			return s.AppendBlocks(nil, table, tb, sems, false)
 		},
 	})), nil
 }
@@ -192,16 +198,8 @@ func selectBits(seed int64, table, w, bits int) []int {
 	return out
 }
 
-func allBitsSet(v semantic.BitVec, bits []int) bool {
-	for _, b := range bits {
-		if !v.Get(b) {
-			return false
-		}
-	}
-	return true
-}
-
-// mixBit folds a semhash bit index into a bucket key: the bit index is
+// mixBit folds a semhash bit index into a bucket key of the bucket-per-bit
+// keying (BucketKeys), the definition of an OR collision: the bit index is
 // diffused by one SplitMix64 round before being xor-folded into the band
 // key, and the combination is finalised by a second round, so every (key,
 // bit) input maps to a well-separated 64-bit sub-bucket key. The +1 keeps

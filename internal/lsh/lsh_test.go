@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"semblock/internal/datagen"
 	"semblock/internal/minhash"
 	"semblock/internal/record"
 	"semblock/internal/semantic"
@@ -214,9 +215,10 @@ func orPairsByDefinition(cfg Config, d *record.Dataset) record.PairSet {
 
 // TestORBlocksMatchDefinition checks OR-mode Block against the definition
 // of the w-way OR function: over w and seeds on the running example, and on
-// a mid-size Cora sample across worker counts, where the blocks must also
-// not move with the worker count (run with -race, as the CI race job does,
-// this exercises the concurrent table builds over the shared key matrix).
+// a mid-size Cora sample and a voter sample at the paper's w=12 across
+// worker counts, where the blocks must also not move with the worker count
+// (run with -race, as the CI race job does, this exercises the concurrent
+// table builds over the shared key matrix).
 func TestORBlocksMatchDefinition(t *testing.T) {
 	check := func(name string, cfg Config, d *record.Dataset) [][]record.ID {
 		t.Helper()
@@ -247,21 +249,50 @@ func TestORBlocksMatchDefinition(t *testing.T) {
 	}
 
 	cora, coraSchema := coraFixture(t, 400)
-	var want [][]record.ID
-	for _, workers := range []int{1, 3, 8} {
-		blocks := check(fmt.Sprintf("workers=%d", workers), Config{
-			Attrs: []string{"authors", "title"}, Q: 3, K: 3, L: 16, Seed: 9, Workers: workers,
-			Semantic: &SemanticOption{Schema: coraSchema, W: 3, Mode: ModeOR},
-		}, cora)
-		if len(blocks) == 0 {
-			t.Fatalf("workers=%d: no blocks produced", workers)
-		}
-		if want == nil {
-			want = blocks
-		} else if fmt.Sprint(blocks) != fmt.Sprint(want) {
-			t.Fatalf("workers=%d changed the blocks", workers)
+	voter, voterSchema := voterFixture(t, 1500)
+	for _, tc := range []struct {
+		name string
+		d    *record.Dataset
+		cfg  Config
+	}{
+		{"cora", cora, Config{Attrs: []string{"authors", "title"}, Q: 3, K: 3, L: 16, Seed: 9,
+			Semantic: &SemanticOption{Schema: coraSchema, W: 3, Mode: ModeOR}}},
+		{"voter", voter, Config{Attrs: []string{"first_name", "last_name"}, Q: 2, K: 9, L: 15, Seed: 1,
+			Semantic: &SemanticOption{Schema: voterSchema, W: 12, Mode: ModeOR}}},
+	} {
+		var want [][]record.ID
+		for _, workers := range []int{1, 3, 8} {
+			cfg := tc.cfg
+			cfg.Workers = workers
+			blocks := check(fmt.Sprintf("%s workers=%d", tc.name, workers), cfg, tc.d)
+			if len(blocks) == 0 {
+				t.Fatalf("%s workers=%d: no blocks produced", tc.name, workers)
+			}
+			if want == nil {
+				want = blocks
+			} else if fmt.Sprint(blocks) != fmt.Sprint(want) {
+				t.Fatalf("%s workers=%d changed the blocks", tc.name, workers)
+			}
 		}
 	}
+}
+
+// voterFixture is an n-record sample of the voter generator with the
+// schema built over it.
+func voterFixture(t *testing.T, n int) (*record.Dataset, *semantic.Schema) {
+	t.Helper()
+	cfg := datagen.DefaultVoterConfig()
+	cfg.Records = n
+	d := datagen.Voter(cfg)
+	fn, err := semantic.NewVoterFunction(taxonomy.Voter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := semantic.BuildSchema(fn, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, schema
 }
 
 // TestSemanticFiltersTextualCollisions reproduces the paper's Example 5.1:

@@ -19,20 +19,26 @@ import (
 // There is one signing flow. Stage a record (StageAppend: finalised q-gram
 // hashes + semhash, the table-independent half), then sign only the bands
 // of tables that are active for it — the ones its semhash lets it enter at
-// all (§5.2) — and keep one band key per table (BandKeys); BucketKeys /
-// FanOut turn a band key into the table's bucket keys. The contract that
-// makes the laziness safe: an inactive band is never written and never
-// read, so signature and key buffers may be reused dirty.
+// all (§5.2) — and keep one band key per table (BandKeys). A record files
+// under that one key in every active table, whatever the mode; in OR mode
+// two members of a bucket collide only if their semhashes share one of the
+// table's selected bits (Collide), and the export splits each bucket into
+// its per-bit blocks (AppendBlocks). The contract that makes the laziness
+// safe: an inactive band is never written and never read, so signature and
+// key buffers may be reused dirty.
 //
 // Staging is interned: a record's q-grams are streamed straight out of the
 // normalised blocking key (textual.VisitQGrams) into shingle hashes
 // (minhash.ShingleHash, where the family's per-shingle finaliser runs) — no
 // gram strings and no gram slice are materialised.
 type Signer struct {
-	cfg  Config
-	fam  *minhash.Family
-	bits [][]int // per-table semantic bit choices; nil without Semantic
-	all  []int   // 0..l-1, what a nil table list stands for
+	cfg   Config
+	fam   *minhash.Family
+	bits  [][]int  // per-table semantic bit choices; nil without Semantic
+	sel   []uint64 // the same choices as masks: table t's at sel[t·words:(t+1)·words]
+	words int      // semhash words per record; 0 without Semantic
+	or    bool     // OR mode: bucket members collide only if they share a selected bit
+	all   []int    // 0..l-1, what a nil table list stands for
 }
 
 // NewSigner validates the configuration and precomputes the per-table
@@ -60,9 +66,15 @@ func NewSigner(cfg Config) (*Signer, error) {
 		s.all[t] = t
 	}
 	if sem := cfg.Semantic; sem != nil {
+		s.words = (sem.Schema.Bits() + 63) / 64
+		s.or = sem.Mode == ModeOR
 		s.bits = make([][]int, cfg.L)
+		s.sel = make([]uint64, cfg.L*s.words)
 		for t := 0; t < cfg.L; t++ {
 			s.bits[t] = selectBits(cfg.Seed, t, sem.W, sem.Schema.Bits())
+			for _, bit := range s.bits[t] {
+				s.sel[t*s.words+bit/64] |= 1 << (bit % 64)
+			}
 		}
 	}
 	return s, nil
@@ -125,22 +137,60 @@ func (s *Signer) StageAppend(r *record.Record, arena []uint64) (Stage, []uint64)
 	return Stage{hashes: hashes, sem: sem}, arena
 }
 
-// active reports whether a record with semhash sem can file under any key
-// of the table, i.e. whether its band is worth signing: always for plain
-// LSH; iff all w selected bits are set for AND; iff any selected bit is set
-// for OR.
+// MaskWords returns the number of semhash words a table store keeps per
+// record to decide collisions and export blocks: the signature width in
+// words in OR mode, 0 otherwise (plain LSH and AND mode need none once a
+// record is filed).
+func (s *Signer) MaskWords() int {
+	if !s.or {
+		return 0
+	}
+	return s.words
+}
+
+// Active reports whether a record with semhash words sem files under the
+// table's band key, i.e. whether its band is worth signing: always for
+// plain LSH (sem is ignored); iff all w selected bits are set for AND; iff
+// any selected bit is set for OR.
 //
 //semblock:hotpath
-func (s *Signer) active(table int, sem semantic.BitVec) bool {
-	opt := s.cfg.Semantic
-	switch {
-	case opt == nil:
+func (s *Signer) Active(table int, sem []uint64) bool {
+	if s.words == 0 {
 		return true
-	case opt.Mode == ModeAND:
-		return allBitsSet(sem, s.bits[table])
 	}
-	for _, bit := range s.bits[table] {
-		if sem.Get(bit) {
+	sel := s.sel[table*s.words : (table+1)*s.words]
+	if s.or {
+		for i, m := range sel {
+			if sem[i]&m != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for i, m := range sel {
+		if sem[i]&m != m {
+			return false
+		}
+	}
+	return true
+}
+
+// Collide reports whether two records filed under one band key of the
+// table collide, given their semhash words: always, except in OR mode,
+// where they must also share one of the table's selected bits
+// (a & b & sel ≠ 0, word by word) — the w-way OR semantic function
+// h[w,∨] of §5.2.
+//
+//semblock:hotpath
+func (s *Signer) Collide(table int, a, b []uint64) bool {
+	switch {
+	case !s.or:
+		return true
+	case s.words == 1:
+		return a[0]&b[0]&s.sel[table] != 0
+	}
+	for i, m := range s.sel[table*s.words : (table+1)*s.words] {
+		if a[i]&b[i]&m != 0 {
 			return true
 		}
 	}
@@ -163,16 +213,16 @@ func (s *Signer) SignStagedInto(st *Stage, tables []int, sig []uint64) {
 
 // BandKeys signs the staged record's active bands of the given tables into
 // the k·l scratch sig and, unless keys is nil, stores table tables[j]'s band
-// key at keys[j·stride]; slots of inactive tables are left untouched (FanOut
-// never reads them). It returns the number of bands signed. The stride lets
-// batch Block lay keys out table-major (stride n) and the stream paths
-// record-major (stride 1) through the same routine.
+// key at keys[j·stride]; slots of inactive tables are left untouched (the
+// table builds never read them). It returns the number of bands signed.
+// The stride lets batch Block lay keys out table-major (stride n) and the
+// stream paths record-major (stride 1) through the same routine.
 //
 //semblock:hotpath
 func (s *Signer) BandKeys(st *Stage, tables []int, sig, keys []uint64, stride int) int {
 	k, signed := s.cfg.K, 0
 	for j, t := range tables {
-		if !s.active(t, st.sem) {
+		if !s.Active(t, st.sem.Words()) {
 			continue
 		}
 		s.fam.SignBand(st.hashes, t*k, (t+1)*k, sig)
@@ -184,44 +234,30 @@ func (s *Signer) BandKeys(st *Stage, tables []int, sig, keys []uint64, stride in
 	return signed
 }
 
-// BucketKeys appends to dst the bucket keys the record files under in one
-// hash table and returns the extended slice; sig is a SignStagedInto result
-// covering the table. The semantic bits decide first: when the table is
-// inactive for sem no key is produced and the band is not read.
+// BucketKeys appends to dst the bucket keys of the record in one hash table
+// under the bucket-per-bit keying, and returns the extended slice; sig is a
+// SignStagedInto result covering the table. Plain LSH yields the band key;
+// AND mode yields it iff all w selected semhash bits are set; OR mode
+// yields one key per selected set bit, the band key mixed with the bit
+// (mixBit). Two records collide in a table iff they share a key of it.
 //
-//semblock:hotpath
+// This is the executable definition of a collision, kept as the test
+// oracle of the one-key-per-table production path (Active, Collide,
+// AppendBlocks), which files a record once per table and must produce the
+// same pairs and the same blocks in the same order. No production path
+// calls it.
 func (s *Signer) BucketKeys(table int, sig []uint64, sem semantic.BitVec, dst []uint64) []uint64 {
-	if !s.active(table, sem) {
+	if !s.Active(table, sem.Words()) {
 		return dst
 	}
 	k := s.cfg.K
-	return s.FanOut(table, minhash.BandKey(table, sig[table*k:(table+1)*k]), sem, dst)
-}
-
-// FanOut appends the bucket keys a band key stands for in one table. The
-// keying is the normalised bucket-per-bit form: plain LSH yields the band
-// key; AND mode yields it iff all w selected semhash bits are set (nothing
-// otherwise); OR mode yields one mixed key per selected set bit. Two records
-// collide in a table iff they share a key, so this single method defines
-// block membership for both batch and streaming construction. bandKey is
-// only consulted when a key is produced, so the unwritten BandKeys slot of
-// an inactive table may be passed as is.
-//
-//semblock:hotpath
-func (s *Signer) FanOut(table int, bandKey uint64, sem semantic.BitVec, dst []uint64) []uint64 {
-	opt := s.cfg.Semantic
-	switch {
-	case opt == nil:
-		dst = append(dst, bandKey)
-	case opt.Mode == ModeAND:
-		if allBitsSet(sem, s.bits[table]) {
-			dst = append(dst, bandKey)
-		}
-	default: // ModeOR: one sub-bucket per selected set bit
-		for _, bit := range s.bits[table] {
-			if sem.Get(bit) {
-				dst = append(dst, mixBit(bandKey, bit))
-			}
+	key := minhash.BandKey(table, sig[table*k:(table+1)*k])
+	if !s.or {
+		return append(dst, key)
+	}
+	for _, bit := range s.bits[table] {
+		if sem.Get(bit) {
+			dst = append(dst, mixBit(key, bit))
 		}
 	}
 	return dst

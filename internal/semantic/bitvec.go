@@ -26,6 +26,10 @@ func (v BitVec) Set(i int) { v.words[i/64] |= 1 << (i % 64) }
 // Get reports whether bit i is 1.
 func (v BitVec) Get(i int) bool { return v.words[i/64]&(1<<(i%64)) != 0 }
 
+// Words returns the vector's backing words, bit i at words[i/64] bit i%64;
+// (Len()+63)/64 of them. The slice is shared with the vector.
+func (v BitVec) Words() []uint64 { return v.words }
+
 // OnesCount returns the number of set bits.
 func (v BitVec) OnesCount() int {
 	n := 0

@@ -3,12 +3,13 @@
 // a time or in mini-batches, emitting candidate pairs as hash-bucket
 // collisions occur instead of recomputing blocks from scratch.
 //
-// The Indexer shares its signature core (lsh.Signer) and its table store
-// (engine.Table, including the block-export routine) with the batch
-// Blocker, so for a fixed configuration a snapshot of the index after
-// streaming a dataset in record order is block-for-block identical to a
-// batch Block run over the same dataset — parity enforced by construction
-// in internal/engine and asserted by the tests here.
+// The Indexer shares its signature core (lsh.Signer, including the
+// block-export routine AppendBlocks) and its table store (engine.Table)
+// with the batch Blocker, so for a fixed configuration a snapshot of the
+// index after streaming a dataset in record order is block-for-block
+// identical to a batch Block run over the same dataset — parity enforced
+// by construction in internal/engine and internal/lsh and asserted by the
+// tests here.
 //
 // Every Indexer is backed by a SharedLog holding the record log. A
 // standalone Indexer owns a private log; a family of table-subset Indexers
@@ -42,7 +43,6 @@ import (
 	"semblock/internal/lsh"
 	"semblock/internal/obs"
 	"semblock/internal/record"
-	"semblock/internal/semantic"
 )
 
 // Row is one record to insert: the optional ground-truth entity label and
@@ -263,13 +263,17 @@ type Indexer struct {
 
 // shard owns a subset of the l hash tables. The tables are the same
 // engine.Table bucket stores the batch path builds, filled incrementally
-// here instead of in one pass.
+// here instead of in one pass. In SA-LSH's OR mode the shard also keeps
+// the semhash words of every record it filed (lsh.Signer.MaskWords per
+// record, indexed by ID), which decide collisions and the Snapshot export;
+// they are its own copy, guarded by mu like the tables, never a view into
+// a log another Append may reallocate.
 type shard struct {
 	mu     sync.Mutex
 	tables []int           // table indices owned by this shard
 	slots  []int           // parallel to tables: each table's position in Indexer.tableSubset
 	store  []*engine.Table // parallel to tables
-	keys   []uint64        // bucket-key scratch of insert
+	sems   []uint64        // OR mode: the filed records' semhash words, by ID
 }
 
 // NewIndexer builds an empty streaming index for the given (SA-)LSH
@@ -465,7 +469,7 @@ func (ix *Indexer) InsertStaged(b StagedBatch) PairGroups {
 	ix.eachShard(len(b.IDs), func(si int, sh *shard) {
 		g := PairGroups{pairs: make([]record.Pair, 0, hint), off: make([]int, len(b.IDs)+1)}
 		for i, id := range b.IDs {
-			g.pairs = sh.insert(ix.signer, id, ix.recordKeys(keys, i), b.stages[i].Sem(), g.pairs, true)
+			g.pairs = sh.insert(ix.signer, id, ix.recordKeys(keys, i), b.stages[i].Sem().Words(), g.pairs, true)
 			g.off[i+1] = len(g.pairs)
 		}
 		perShard[si] = g
@@ -508,7 +512,7 @@ func (ix *Indexer) ReplayStaged(b StagedBatch) {
 	keys := ix.bandKeys(b.stages)
 	ix.eachShard(len(b.IDs), func(_ int, sh *shard) {
 		for i, id := range b.IDs {
-			sh.insert(ix.signer, id, ix.recordKeys(keys, i), b.stages[i].Sem(), nil, false)
+			sh.insert(ix.signer, id, ix.recordKeys(keys, i), b.stages[i].Sem().Words(), nil, false)
 		}
 	})
 }
@@ -564,24 +568,44 @@ func (ix *Indexer) recordKeys(keys []uint64, i int) []uint64 {
 	return keys[i*ls : (i+1)*ls]
 }
 
-// insert files the record into every table of the shard — bandKeys holds
-// the record's band-key slots (Indexer.recordKeys) — and, when collect is
-// set, appends the (not yet deduplicated) collision pairs to found.
-// ReplayStaged passes collect=false: co-bucketing alone determines the pair
-// set, so replay skips the pair bookkeeping.
+// insert files the record once into every table of the shard it is active
+// in, under its band key — bandKeys holds the record's band-key slots
+// (Indexer.recordKeys), sem its semhash words — and, when collect is set,
+// appends the (not yet deduplicated) collision pairs to found: one per
+// table and colliding prior member (lsh.Signer.Collide). ReplayStaged
+// passes collect=false: co-bucketing alone determines the pair set, so
+// replay skips the pair bookkeeping.
 //
 //semblock:hotpath
-func (sh *shard) insert(signer *lsh.Signer, id record.ID, bandKeys []uint64, sem semantic.BitVec, found []record.Pair, collect bool) []record.Pair {
+func (sh *shard) insert(signer *lsh.Signer, id record.ID, bandKeys, sem []uint64, found []record.Pair, collect bool) []record.Pair {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	w := signer.MaskWords()
+	if w > 0 {
+		// Batches may reach the shard out of ID order (concurrent
+		// InsertBatch calls): grow to the ID, fill its slot. Capacity
+		// doubles from 1024 records, so a shard reallocates O(log n) times.
+		n := (int(id) + 1) * w
+		if n > cap(sh.sems) {
+			grown := make([]uint64, n, max(n, 2*cap(sh.sems), 1024*w))
+			copy(grown, sh.sems)
+			sh.sems = grown
+		}
+		if n > len(sh.sems) {
+			sh.sems = sh.sems[:n]
+		}
+		copy(sh.sems[int(id)*w:], sem)
+	}
 	for i, t := range sh.tables {
-		sh.keys = signer.FanOut(t, bandKeys[sh.slots[i]], sem, sh.keys[:0])
-		for _, key := range sh.keys {
-			others := sh.store[i].Insert(key, id)
-			if !collect {
-				continue
-			}
-			for _, other := range others {
+		if !signer.Active(t, sem) {
+			continue
+		}
+		others := sh.store[i].Insert(bandKeys[sh.slots[i]], id)
+		if !collect {
+			continue
+		}
+		for _, other := range others {
+			if w == 0 || signer.Collide(t, sh.sems[int(other)*w:], sem) {
 				found = append(found, record.MakePair(other, id))
 			}
 		}
@@ -658,10 +682,10 @@ func (ix *Indexer) Snapshot() *blocking.Result {
 	var blocks [][]record.ID
 	for _, sh := range ix.shards {
 		sh.mu.Lock()
-		for _, tb := range sh.store {
+		for i, tb := range sh.store {
 			// Same export routine as the batch engine build; members are
 			// copied because the tables keep growing after the snapshot.
-			blocks = engine.AppendBlocks(blocks, tb, 2, true)
+			blocks = ix.signer.AppendBlocks(blocks, sh.tables[i], tb, sh.sems, true)
 		}
 		sh.mu.Unlock()
 	}
