@@ -19,8 +19,11 @@ import (
 	"testing"
 
 	"semblock"
+	"semblock/internal/blocking"
 	"semblock/internal/datagen"
+	"semblock/internal/er"
 	"semblock/internal/experiments"
+	"semblock/internal/metablocking"
 	"semblock/internal/obs"
 )
 
@@ -506,6 +509,93 @@ func BenchmarkPipelineBudget(b *testing.B) {
 			b.ReportMetric(recall, "recall")
 		})
 	}
+}
+
+// cora10kBlocks is the batch pipeline's post-blocking input at the paper's
+// Cora setting: 10k synthetic records blocked by SA-LSH (q=4, k=4, l=63,
+// w=3 OR).
+func cora10kBlocks(b *testing.B) (*semblock.Dataset, *semblock.BlockResult) {
+	b.Helper()
+	cfg := datagen.DefaultCoraConfig()
+	cfg.Records = 10000
+	d := datagen.Cora(cfg)
+	fn, err := semblock.NewCoraSemantics(semblock.BibliographicTaxonomy())
+	if err != nil {
+		b.Fatal(err)
+	}
+	schema, err := semblock.BuildSchema(fn, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blk, err := semblock.New(semblock.Config{
+		Attrs: []string{"authors", "title"}, Q: 4, K: 4, L: 63, Seed: 1,
+		Semantic: &semblock.SemanticOption{Schema: schema, W: 3, Mode: semblock.ModeOR},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := blk.Block(d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, res
+}
+
+// BenchmarkBuildGraph measures the CBS blocking graph's record-major edge
+// walk over 10k blocked Cora records on one goroutine ("serial") and on
+// GOMAXPROCS ("parallel"), reporting the edge count. Each run copies the
+// blocks into a fresh result so no cached walk is reused.
+func BenchmarkBuildGraph(b *testing.B) {
+	_, res := cora10kBlocks(b)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{
+		{"serial", 1},
+		{"parallel", 0}, // GOMAXPROCS
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var edges int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fresh := blocking.NewResult(res.Technique, res.Blocks)
+				edges = metablocking.BuildGraphWorkers(fresh, metablocking.CBS, bc.workers).NumEdges()
+			}
+			b.ReportMetric(float64(edges), "edges")
+		})
+	}
+}
+
+// BenchmarkKernelFeaturize measures the match kernel's per-record feature
+// pass over 10k Cora records: serial Featurize one record at a time, and
+// the batch FeaturizeAll on GOMAXPROCS goroutines.
+func BenchmarkKernelFeaturize(b *testing.B) {
+	cfg := datagen.DefaultCoraConfig()
+	cfg.Records = 10000
+	d := datagen.Cora(cfg)
+	m, err := er.NewMatcher([]er.AttrWeight{
+		{Attr: "title", Weight: 0.6},
+		{Attr: "authors", Weight: 0.4},
+	}, 0.6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := er.NewKernel(m, d.Len())
+			for _, r := range d.Records() {
+				k.Featurize(r)
+			}
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			er.NewKernel(m, d.Len()).FeaturizeAll(d.Records(), 0)
+		}
+	})
 }
 
 // --- Ablation benches (DESIGN.md §4) ------------------------------------

@@ -27,7 +27,9 @@ type Result struct {
 	// Blocks holds the record IDs of each block.
 	Blocks [][]record.ID
 
-	pairs record.PairSet // lazily built distinct candidate pairs
+	pairs  record.PairSet // lazily built distinct candidate pairs
+	sorted []record.Pair  // the same pairs ascending, once walked is set
+	walked bool
 }
 
 // NewResult constructs a result, dropping blocks smaller than two records.
@@ -39,6 +41,20 @@ func NewResult(technique string, blocks [][]record.ID) *Result {
 		}
 	}
 	return &Result{Technique: technique, Blocks: kept}
+}
+
+// NewPairResult builds the collection of one two-record block per pair,
+// the shape meta-blocking's pruning emits. pairs must be ascending and
+// distinct; they become the result's Pairs, and the blocks share one
+// backing array.
+func NewPairResult(technique string, pairs []record.Pair) *Result {
+	flat := make([]record.ID, 2*len(pairs))
+	blocks := make([][]record.ID, len(pairs))
+	for i, p := range pairs {
+		flat[2*i], flat[2*i+1] = p.Left(), p.Right()
+		blocks[i] = flat[2*i : 2*i+2 : 2*i+2]
+	}
+	return &Result{Technique: technique, Blocks: blocks, sorted: pairs, walked: true}
 }
 
 // NumBlocks returns |B|.
@@ -90,6 +106,16 @@ func (r *Result) CandidatePairs() record.PairSet {
 	}
 	r.pairs = ps
 	return ps
+}
+
+// Pairs returns Γ in ascending canonical order: the pairs CandidatePairs
+// holds, computed once by the record-major walk (see Edges) and cached.
+// The slice is shared; callers must not modify it.
+func (r *Result) Pairs() []record.Pair {
+	if !r.walked {
+		r.Edges(0, false)
+	}
+	return r.sorted
 }
 
 // Covers reports whether the two records share at least one block (the

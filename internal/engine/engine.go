@@ -338,9 +338,11 @@ func Workers(n int) int {
 
 // ParallelChunks splits [0,n) into up to `workers` contiguous chunks and
 // runs fn on each concurrently, returning when all chunks finish. It is the
-// one worker-pool shape every per-record batch stage uses — signing in
-// lsh.Blocker.Block, staging and band signing in internal/stream, the
-// canonical merge in internal/server.
+// worker-pool shape of the per-record stages of blocking and ingest —
+// signing in lsh.Blocker.Block, staging and band signing in
+// internal/stream, the canonical merge in internal/server. The stages after
+// blocking, which run beside request handlers in /resolve, use
+// ParallelTasks.
 func ParallelChunks(n, workers int, fn func(lo, hi int)) {
 	if workers > n {
 		workers = n
@@ -365,5 +367,38 @@ func ParallelChunks(n, workers int, fn func(lo, hi int)) {
 			fn(lo, hi)
 		}(lo, hi)
 	}
+	wg.Wait()
+}
+
+// ParallelTasks runs fn(w, t) for every task t in [0,n) on up to `workers`
+// goroutines, w being the running goroutine's index below min(workers, n).
+// The caller hands the tasks out in order over an unbuffered channel, so
+// uneven tasks balance, and a worker between tasks waits for the handoff:
+// a batch stage that fills every CPU then still lets the scheduler run
+// request handlers and poll the network between tasks, rather than only
+// when a time slice ends.
+func ParallelTasks(n, workers int, fn func(w, t int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for t := 0; t < n; t++ {
+			fn(0, t)
+		}
+		return
+	}
+	tasks := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for t := range tasks {
+				fn(w, t)
+			}
+		}(w)
+	}
+	for t := 0; t < n; t++ {
+		tasks <- t
+	}
+	close(tasks)
 	wg.Wait()
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"semblock/internal/record"
@@ -124,5 +125,28 @@ func TestBuildEdgeCases(t *testing.T) {
 	none := func(int, record.ID) (uint64, bool) { return 0, false }
 	if got := Build(Spec{Tables: 3, Records: 5, Key: none, Export: buckets}); len(got) != 0 {
 		t.Errorf("empty keying produced %v", got)
+	}
+}
+
+// TestParallelTasksRunsEachTaskOnce checks every task runs exactly once,
+// on a goroutine index below min(workers, n).
+func TestParallelTasksRunsEachTaskOnce(t *testing.T) {
+	for _, tc := range []struct{ n, workers int }{{0, 4}, {1, 4}, {5, 1}, {7, 3}, {100, 16}} {
+		runs := make([]atomic.Int32, tc.n)
+		var bad atomic.Int32
+		ParallelTasks(tc.n, tc.workers, func(w, task int) {
+			if w < 0 || w >= min(tc.workers, tc.n) {
+				bad.Add(1)
+			}
+			runs[task].Add(1)
+		})
+		if bad.Load() != 0 {
+			t.Errorf("n=%d workers=%d: %d tasks ran on an out-of-range worker index", tc.n, tc.workers, bad.Load())
+		}
+		for task := range runs {
+			if got := runs[task].Load(); got != 1 {
+				t.Errorf("n=%d workers=%d: task %d ran %d times", tc.n, tc.workers, task, got)
+			}
+		}
 	}
 }

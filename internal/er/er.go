@@ -9,6 +9,7 @@ package er
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"semblock/internal/blocking"
@@ -37,7 +38,9 @@ type Matcher struct {
 }
 
 // NewMatcher builds a weighted-average matcher. The threshold is the
-// minimum score in [0,1] for a pair to classify as a match.
+// minimum score in [0,1] for a pair to classify as a match. The matcher
+// keeps its own normalised copy of attrs; the caller's slice is not
+// modified.
 func NewMatcher(attrs []AttrWeight, threshold float64) (*Matcher, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("er: matcher needs at least one attribute")
@@ -45,7 +48,7 @@ func NewMatcher(attrs []AttrWeight, threshold float64) (*Matcher, error) {
 	if threshold < 0 || threshold > 1 {
 		return nil, fmt.Errorf("er: threshold must be in [0,1], got %v", threshold)
 	}
-	m := &Matcher{attrs: attrs, threshold: threshold}
+	m := &Matcher{attrs: slices.Clone(attrs), threshold: threshold}
 	total := 0.0
 	for _, a := range attrs {
 		if a.Weight <= 0 {

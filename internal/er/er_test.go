@@ -1,6 +1,7 @@
 package er
 
 import (
+	"slices"
 	"testing"
 
 	"semblock/internal/blocking"
@@ -40,6 +41,23 @@ func TestNewMatcherValidation(t *testing.T) {
 	}
 	if _, err := NewMatcher([]AttrWeight{{Attr: "a", Weight: 1, Sim: "nope"}}, 0.5); err == nil {
 		t.Error("unknown sim should fail")
+	}
+}
+
+// TestNewMatcherKeepsCallerWeights checks that normalising the weights
+// does not write through to the caller's slice.
+func TestNewMatcherKeepsCallerWeights(t *testing.T) {
+	attrs := []AttrWeight{{Attr: "name", Weight: 3}, {Attr: "city", Weight: 1, Sim: textual.SimBigram}}
+	want := slices.Clone(attrs)
+	m, err := NewMatcher(attrs, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(attrs, want) {
+		t.Fatalf("NewMatcher changed its argument: %v, want %v", attrs, want)
+	}
+	if m.attrs[0].Weight != 0.75 || m.attrs[1].Weight != 0.25 {
+		t.Errorf("normalised weights = %v, want 0.75 and 0.25", m.attrs)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"semblock/internal/engine"
 	"semblock/internal/minhash"
 	"semblock/internal/record"
 	"semblock/internal/textual"
@@ -163,21 +164,53 @@ func (sc *scoreScratch) gramSim(va, vb string, dice bool) float64 {
 
 // Kernel is the zero-allocation batch scoring engine behind the pipeline's
 // match stage. Featurize resolves a record once — attribute values fetched
-// by pre-resolved index, q-gram sets hashed, sorted and persisted into a
-// shared arena — and Score then compares any two featurized records
-// without touching the records, their attribute maps, or the heap.
+// by pre-resolved index, q-gram sets hashed, sorted and persisted into an
+// arena — and Score then compares any two featurized records without
+// touching the records, their attribute maps, or the heap.
 //
-// Featurize must not run concurrently with itself or with Score; Score
-// alone is safe for concurrent use (it only reads). The pipeline featurizes
-// up front in batch mode and under its stream mutex in streaming mode.
+// FeaturizeAll is the batch form: it presizes the slots, then fills ranges
+// of records on several goroutines, each with its own arena and gram
+// buffer. Neither Featurize nor FeaturizeAll may run concurrently with
+// itself, the other, or Score; Score alone is safe for concurrent use (it
+// only reads). The pipeline featurizes up front with FeaturizeAll in batch
+// mode and with Featurize under its stream mutex in streaming mode.
 type Kernel struct {
 	m     *Matcher
 	vals  [][]string   // per attribute, indexed by dense record ID
 	grams [][][]uint64 // sorted distinct gram hashes, same indexing
+	f     *featurizer  // Featurize's workspace
+	n     int
+}
+
+// featurizer is one goroutine's featurize workspace: a gram buffer, its
+// pre-bound visitor, and the arena the persisted gram sets live in.
+type featurizer struct {
 	arena hashArena
 	buf   []uint64
 	visit func(string)
-	n     int
+}
+
+func newFeaturizer() *featurizer {
+	f := &featurizer{}
+	f.visit = func(g string) { f.buf = append(f.buf, minhash.BaseHash(g)) }
+	return f
+}
+
+// fill caches record r's features in its slots, which must exist.
+func (f *featurizer) fill(k *Kernel, r *record.Record) {
+	id := int(r.ID)
+	for i := range k.m.attrs {
+		v := r.Value(k.m.attrs[i].Attr)
+		k.vals[i][id] = v
+		if v == "" || k.m.kinds[i] == kindGeneric {
+			k.grams[i][id] = nil
+			continue
+		}
+		f.buf = f.buf[:0]
+		textual.VisitQGrams(v, 2, f.visit)
+		slices.Sort(f.buf)
+		k.grams[i][id] = f.arena.save(dedupeSorted(f.buf))
+	}
 }
 
 // NewKernel returns an empty kernel for the matcher. sizeHint is the
@@ -187,44 +220,62 @@ func NewKernel(m *Matcher, sizeHint int) *Kernel {
 		m:     m,
 		vals:  make([][]string, len(m.attrs)),
 		grams: make([][][]uint64, len(m.attrs)),
+		f:     newFeaturizer(),
 	}
 	for i := range k.vals {
 		k.vals[i] = make([]string, 0, sizeHint)
 		k.grams[i] = make([][]uint64, 0, sizeHint)
 	}
-	k.visit = func(g string) { k.buf = append(k.buf, minhash.BaseHash(g)) }
 	return k
 }
 
 // Len returns the number of record slots featurized so far (max ID + 1).
 func (k *Kernel) Len() int { return k.n }
 
+// grow extends the slots to hold IDs below n.
+func (k *Kernel) grow(n int) {
+	for i := range k.vals {
+		if d := n - len(k.vals[i]); d > 0 {
+			k.vals[i] = append(k.vals[i], make([]string, d)...)
+			k.grams[i] = append(k.grams[i], make([][]uint64, d)...)
+		}
+	}
+	k.n = max(k.n, n)
+}
+
 // Featurize caches the record's per-attribute match features. Records may
 // arrive in any ID order; slots are grown on demand and re-featurizing an
 // ID overwrites its features.
 func (k *Kernel) Featurize(r *record.Record) {
-	id := int(r.ID)
-	for i := range k.vals {
-		for len(k.vals[i]) <= id {
-			k.vals[i] = append(k.vals[i], "")
-			k.grams[i] = append(k.grams[i], nil)
+	k.grow(int(r.ID) + 1)
+	k.f.fill(k, r)
+}
+
+// featurizeTask is the records one FeaturizeAll task fills, about 0.25 ms
+// of work: the hand-off between tasks is where request handlers beside a
+// running featurize get a CPU (see engine.ParallelTasks).
+const featurizeTask = 64
+
+// FeaturizeAll featurizes the records on at most `workers` goroutines (0 =
+// engine.Workers(0)), leaving exactly the features Featurize would. Their
+// IDs must be distinct: the slots are presized for the largest ID, then
+// each worker fills ranges of rs with its own arena and gram buffer.
+func (k *Kernel) FeaturizeAll(rs []*record.Record, workers int) {
+	n := 0
+	for _, r := range rs {
+		n = max(n, int(r.ID)+1)
+	}
+	k.grow(n)
+	fs := make([]*featurizer, engine.Workers(workers))
+	tasks := (len(rs) + featurizeTask - 1) / featurizeTask
+	engine.ParallelTasks(tasks, len(fs), func(w, t int) {
+		if fs[w] == nil {
+			fs[w] = newFeaturizer()
 		}
-	}
-	if id >= k.n {
-		k.n = id + 1
-	}
-	for i := range k.m.attrs {
-		v := r.Value(k.m.attrs[i].Attr)
-		k.vals[i][id] = v
-		if v == "" || k.m.kinds[i] == kindGeneric {
-			k.grams[i][id] = nil
-			continue
+		for _, r := range rs[t*featurizeTask : min((t+1)*featurizeTask, len(rs))] {
+			fs[w].fill(k, r)
 		}
-		k.buf = k.buf[:0]
-		textual.VisitQGrams(v, 2, k.visit)
-		slices.Sort(k.buf)
-		k.grams[i][id] = k.arena.save(dedupeSorted(k.buf))
-	}
+	})
 }
 
 // Score computes the weighted similarity of two featurized records —

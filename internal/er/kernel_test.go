@@ -1,6 +1,8 @@
 package er
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"semblock/internal/datagen"
@@ -112,5 +114,55 @@ func TestKernelRefeaturizeOverwrites(t *testing.T) {
 	k.Featurize(r0)
 	if after := k.Score(0, 1); after <= before || after != 1 {
 		t.Errorf("re-featurize: score %v -> %v, want 1", before, after)
+	}
+}
+
+// TestFeaturizeAllMatchesFeaturize checks that the parallel batch
+// featurize leaves features that score every pair bitwise-equal to serial
+// Featurize's, at every width, for records in any order and for a subset
+// (the budgeted pipeline featurizes only the records its drain touches).
+func TestFeaturizeAllMatchesFeaturize(t *testing.T) {
+	cfg := datagen.DefaultCoraConfig()
+	cfg.Records = 300
+	d := datagen.Cora(cfg)
+	m, err := NewMatcher([]AttrWeight{
+		{Attr: "title", Weight: 0.5},
+		{Attr: "authors", Weight: 0.3, Sim: textual.SimBigram},
+		{Attr: "venue", Weight: 0.2, Sim: textual.SimJaroWinkler},
+	}, 0.55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := NewKernel(m, d.Len())
+	for _, r := range d.Records() {
+		serial.Featurize(r)
+	}
+	reversed := slices.Clone(d.Records())
+	slices.Reverse(reversed)
+	odd := make([]*record.Record, 0, d.Len()/2)
+	for _, r := range d.Records() {
+		if r.ID%2 == 1 {
+			odd = append(odd, r)
+		}
+	}
+	for _, workers := range []int{1, 2, 3, 16} {
+		for name, rs := range map[string][]*record.Record{"all": d.Records(), "reversed": reversed, "odd": odd} {
+			k := NewKernel(m, 0)
+			k.FeaturizeAll(rs, workers)
+			if k.Len() != serial.Len() && name != "odd" {
+				t.Fatalf("%s workers=%d: Len %d, want %d", name, workers, k.Len(), serial.Len())
+			}
+			for _, a := range rs {
+				for _, b := range rs {
+					if a.ID >= b.ID {
+						continue
+					}
+					got, want := k.Score(a.ID, b.ID), serial.Score(a.ID, b.ID)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s workers=%d: Score(%d,%d) = %v, serial %v", name, workers, a.ID, b.ID, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -5,21 +5,26 @@
 // JS, EJS), and one of four pruning algorithms (WEP, CEP, WNP, CNP)
 // restructures the collection into its final candidate comparisons.
 //
-// The graph is stored flat: a single open-addressing slot index (the PR 6
-// bucket-store layout — power-of-two capacity, SplitMix64 pre-mix, linear
-// probing) maps each pair onto a dense edge index, and every per-edge
-// accumulator (common-block count, ARCS reciprocal sum, final weight) is a
-// parallel slice over those indices. Building the graph therefore costs
-// O(1) amortised allocations per edge instead of one map entry per pair
-// across three maps, and the same store doubles as the progressive
-// scheduler's weight pass: TopWeighted/RankPairs heap-select the heaviest
-// edges for best-first budgeted matching (internal/pipeline.WithBudget)
-// without any additional per-edge state.
+// The graph is built by the block collection's record-major walk
+// (blocking.Result.Edges): for each record, every member of its blocks
+// with a larger ID is counted in a dense accumulator, and the count a pair
+// reaches is its common-block count — the CBS weight — with the ARCS sum
+// accumulated beside it. Records are walked in parallel ranges whose
+// outputs concatenate in record order, so the edges arrive already in
+// ascending pair order and no pair index is ever built. The graph keeps
+// them as parallel slices (pairs, weights) plus the walk's record→block
+// CSR offsets, which give each record's block count. Lookups are binary
+// searches, WEP and CEP scan the edges in order, and WNP and CNP mark
+// edges, so every pruned collection comes out sorted without a sort. The
+// same slices feed the progressive scheduler: TopWeighted/RankPairs
+// heap-select the heaviest edges for best-first budgeted matching
+// (internal/pipeline.WithBudget) without any additional per-edge state.
 package metablocking
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -122,162 +127,54 @@ func ParseAlgo(s string) (PruneAlgo, error) {
 	return 0, fmt.Errorf("unknown prune algorithm %q (want WEP, CEP, WNP or CNP)", s)
 }
 
-// mix64 is the SplitMix64 finalizer, the same key diffusion the engine
-// bucket store applies before probing.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Graph is the blocking graph: one weighted edge per distinct record pair
-// co-occurring in at least one block. Edges live in a flat open-addressing
-// store (see the package comment); the edge order is first-touch (block
-// scan) order, and every derived output is explicitly sorted, so results
-// are deterministic regardless of that internal order.
+// co-occurring in at least one block, held as parallel slices in ascending
+// canonical pair order (see the package comment).
 type Graph struct {
-	scheme WeightScheme
-
-	// slots is the open-addressing pair index: each slot holds 1+edge
-	// index, 0 marks empty. Capacity is a power of two; rehash at 3/4 load.
-	slots []uint32
-	mask  uint64
-
-	// Parallel per-edge accumulators, indexed by the dense edge index.
-	pairs   []record.Pair
-	common  []int32   // |B_i ∩ B_j|
-	arcs    []float64 // Σ 1/cmp(b) over common blocks; only built for ARCS
-	weights []float64 // final scheme weight
-
-	blocksOf    []int32 // |B_i| per record ID (dense, grown on demand)
-	totalAssign int64   // Σ_b |b|
-	numNodes    int
+	scheme   WeightScheme
+	pairs    []record.Pair // ascending
+	weights  []float64     // final scheme weight, by edge
+	rows     []int32       // record→block CSR offsets from the walk
+	numNodes int           // records in at least one block
 }
 
-// edgeIndex returns the dense index of pair p, inserting a fresh edge when
-// p is new.
-func (g *Graph) edgeIndex(p record.Pair) int {
-	j := mix64(uint64(p)) & g.mask
-	for {
-		s := g.slots[j]
-		if s == 0 {
-			break
-		}
-		if g.pairs[s-1] == p {
-			return int(s - 1)
-		}
-		j = (j + 1) & g.mask
-	}
-	if (len(g.pairs)+1)*4 > len(g.slots)*3 {
-		g.grow()
-		j = mix64(uint64(p)) & g.mask
-		for g.slots[j] != 0 {
-			j = (j + 1) & g.mask
-		}
-	}
-	idx := len(g.pairs)
-	g.pairs = append(g.pairs, p)
-	g.common = append(g.common, 0)
-	if g.arcs != nil {
-		g.arcs = append(g.arcs, 0)
-	}
-	g.slots[j] = uint32(idx) + 1
-	return idx
-}
+// blocksOf returns |B_id|, the number of blocks record id is in.
+func (g *Graph) blocksOf(id record.ID) int32 { return g.rows[id+1] - g.rows[id] }
 
-// grow doubles the slot array and re-files every edge.
-func (g *Graph) grow() {
-	slots := make([]uint32, len(g.slots)*2)
-	mask := uint64(len(slots) - 1)
-	for i, p := range g.pairs {
-		j := mix64(uint64(p)) & mask
-		for slots[j] != 0 {
-			j = (j + 1) & mask
-		}
-		slots[j] = uint32(i) + 1
-	}
-	g.slots = slots
-	g.mask = mask
-}
+// numRecords is the largest record ID in any block + 1.
+func (g *Graph) numRecords() int { return max(len(g.rows)-1, 0) }
 
-// find returns the dense edge index of p, or -1 when p is not an edge.
-func (g *Graph) find(p record.Pair) int {
-	if len(g.slots) == 0 {
-		return -1
+// totalAssign is Σ_b |b|.
+func (g *Graph) totalAssign() int {
+	if len(g.rows) == 0 {
+		return 0
 	}
-	j := mix64(uint64(p)) & g.mask
-	for {
-		s := g.slots[j]
-		if s == 0 {
-			return -1
-		}
-		if g.pairs[s-1] == p {
-			return int(s - 1)
-		}
-		j = (j + 1) & g.mask
-	}
-}
-
-// touchRecord bumps a record's block count, growing the dense counter
-// array on demand.
-func (g *Graph) touchRecord(id record.ID) {
-	if int(id) >= len(g.blocksOf) {
-		grown := make([]int32, int(id)+1)
-		copy(grown, g.blocksOf)
-		g.blocksOf = grown
-	}
-	if g.blocksOf[id] == 0 {
-		g.numNodes++
-	}
-	g.blocksOf[id]++
+	return int(g.rows[len(g.rows)-1])
 }
 
 // BuildGraph constructs the weighted blocking graph from a block
-// collection. Block lists per record and per-pair common-block statistics
-// are accumulated in one pass over the blocks, straight into the flat edge
-// store — no intermediate maps are materialised.
+// collection on engine.Workers(0) goroutines.
 func BuildGraph(res *blocking.Result, scheme WeightScheme) *Graph {
-	g := &Graph{scheme: scheme}
-	est := int(res.Comparisons())
-	if est > 1<<22 {
-		est = 1 << 22
-	}
-	slots := 16
-	for slots*3/4 < est {
-		slots *= 2
-	}
-	g.slots = make([]uint32, slots)
-	g.mask = uint64(slots - 1)
-	if est > 0 {
-		g.pairs = make([]record.Pair, 0, est)
-		g.common = make([]int32, 0, est)
-	}
-	if scheme == ARCS {
-		g.arcs = make([]float64, 0, est)
-	}
+	return BuildGraphWorkers(res, scheme, 0)
+}
 
-	for _, b := range res.Blocks {
-		g.totalAssign += int64(len(b))
-		cmp := float64(len(b)) * float64(len(b)-1) / 2
-		for _, id := range b {
-			g.touchRecord(id)
-		}
-		for i := 0; i < len(b); i++ {
-			for j := i + 1; j < len(b); j++ {
-				idx := g.edgeIndex(record.MakePair(b[i], b[j]))
-				g.common[idx]++
-				if g.arcs != nil && cmp > 0 {
-					g.arcs[idx] += 1 / cmp
-				}
-			}
+// BuildGraphWorkers is BuildGraph on at most `workers` goroutines (0 =
+// engine.Workers(0)); the width never changes the graph. The collection's
+// record-major walk (blocking.Result.Edges) yields every edge with its
+// common-block count and ARCS sum, and this weighs them in one pass.
+func BuildGraphWorkers(res *blocking.Result, scheme WeightScheme, workers int) *Graph {
+	e := res.Edges(workers, scheme == ARCS)
+	g := &Graph{scheme: scheme, pairs: e.Pairs, rows: e.Rows}
+	for id := 0; id < g.numRecords(); id++ {
+		if g.blocksOf(record.ID(id)) > 0 {
+			g.numNodes++
 		}
 	}
 
 	// Node degrees for EJS (number of distinct neighbours).
 	var degree []int32
 	if scheme == EJS {
-		degree = make([]int32, len(g.blocksOf))
+		degree = make([]int32, g.numRecords())
 		for _, p := range g.pairs {
 			degree[p.Left()]++
 			degree[p.Right()]++
@@ -288,24 +185,24 @@ func BuildGraph(res *blocking.Result, scheme WeightScheme) *Graph {
 
 	g.weights = make([]float64, len(g.pairs))
 	for idx, p := range g.pairs {
-		cbs := int(g.common[idx])
+		cbs := int(e.Common[idx])
 		var w float64
 		switch scheme {
 		case ARCS:
-			w = g.arcs[idx]
+			w = e.ARCS[idx]
 		case CBS:
 			w = float64(cbs)
 		case ECBS:
 			w = float64(cbs) *
-				math.Log(float64(numBlocks)/float64(g.blocksOf[p.Left()])) *
-				math.Log(float64(numBlocks)/float64(g.blocksOf[p.Right()]))
+				math.Log(float64(numBlocks)/float64(g.blocksOf(p.Left()))) *
+				math.Log(float64(numBlocks)/float64(g.blocksOf(p.Right())))
 		case JS:
-			union := int(g.blocksOf[p.Left()]) + int(g.blocksOf[p.Right()]) - cbs
+			union := int(g.blocksOf(p.Left())) + int(g.blocksOf(p.Right())) - cbs
 			if union > 0 {
 				w = float64(cbs) / float64(union)
 			}
 		case EJS:
-			union := int(g.blocksOf[p.Left()]) + int(g.blocksOf[p.Right()]) - cbs
+			union := int(g.blocksOf(p.Left())) + int(g.blocksOf(p.Right())) - cbs
 			js := 0.0
 			if union > 0 {
 				js = float64(cbs) / float64(union)
@@ -328,8 +225,8 @@ func (g *Graph) NumEdges() int { return len(g.pairs) }
 
 // WeightOf returns the weight of the edge p and whether p is an edge.
 func (g *Graph) WeightOf(p record.Pair) (float64, bool) {
-	idx := g.find(p)
-	if idx < 0 {
+	idx, ok := slices.BinarySearch(g.pairs, p)
+	if !ok {
 		return 0, false
 	}
 	return g.weights[idx], true
@@ -370,10 +267,10 @@ func heapDown(h []WeightedPair, i int) {
 	}
 }
 
-// selectTop keeps the k best of the streamed candidates using a bounded
-// min-heap and returns them in best-first order. The input slice is used as
-// scratch when it is at most k long.
-func selectTop(stream func(yield func(WeightedPair)), n, k int) []WeightedPair {
+// heapTop keeps the k best of the n streamed candidates (k <= 0 or k > n
+// keeps all) in a bounded min-heap, returned unsorted with the worst kept
+// candidate at index 0 once k were streamed.
+func heapTop(stream func(yield func(WeightedPair)), n, k int) []WeightedPair {
 	if k <= 0 || k > n {
 		k = n
 	}
@@ -393,8 +290,21 @@ func selectTop(stream func(yield func(WeightedPair)), n, k int) []WeightedPair {
 			heapDown(h, 0)
 		}
 	})
+	return h
+}
+
+// selectTop is heapTop in best-first order.
+func selectTop(stream func(yield func(WeightedPair)), n, k int) []WeightedPair {
+	h := heapTop(stream, n, k)
 	sort.Slice(h, func(i, j int) bool { return weightedLess(h[i], h[j]) })
 	return h
+}
+
+// edges streams every edge with its weight, in pair order.
+func (g *Graph) edges(yield func(WeightedPair)) {
+	for i, p := range g.pairs {
+		yield(WeightedPair{Pair: p, Weight: g.weights[i]})
+	}
 }
 
 // TopWeighted returns the k heaviest edges in best-first order (weight
@@ -403,30 +313,42 @@ func selectTop(stream func(yield func(WeightedPair)), n, k int) []WeightedPair {
 // Selection streams the flat weight slice through a bounded min-heap, so a
 // small budget over a huge graph costs O(E log k), not an O(E log E) sort.
 func (g *Graph) TopWeighted(k int) []WeightedPair {
-	return selectTop(func(yield func(WeightedPair)) {
-		for i, p := range g.pairs {
-			yield(WeightedPair{Pair: p, Weight: g.weights[i]})
-		}
-	}, len(g.pairs), k)
+	return selectTop(g.edges, len(g.pairs), k)
 }
 
 // RankPairs orders an arbitrary candidate-pair subset best-first under the
 // graph's weights, truncated to the k best (k <= 0 keeps all). Pairs that
 // are not graph edges weigh 0 — they can only appear after every true edge.
 // The pipeline uses this to drain a pruned collection's survivors in
-// descending weight order under a comparison budget.
+// descending weight order under a comparison budget. An ascending pair
+// list (what blocking.Result.Pairs returns) is merge-joined against the
+// edges; any other order looks each pair up.
 func (g *Graph) RankPairs(pairs []record.Pair, k int) []WeightedPair {
 	return selectTop(func(yield func(WeightedPair)) {
+		if !slices.IsSorted(pairs) {
+			for _, p := range pairs {
+				w, _ := g.WeightOf(p)
+				yield(WeightedPair{Pair: p, Weight: w})
+			}
+			return
+		}
+		j := 0
 		for _, p := range pairs {
-			w, _ := g.WeightOf(p)
+			for j < len(g.pairs) && g.pairs[j] < p {
+				j++
+			}
+			w := 0.0
+			if j < len(g.pairs) && g.pairs[j] == p {
+				w = g.weights[j]
+			}
 			yield(WeightedPair{Pair: p, Weight: w})
 		}
 	}, len(pairs), k)
 }
 
 // Prune applies the pruning algorithm and returns the retained comparisons
-// as a block collection of pairs (one block per retained edge), the final
-// output of meta-blocking.
+// as a block collection of pairs (one block per retained edge, ascending),
+// the final output of meta-blocking. The result's Pairs are the survivors.
 func (g *Graph) Prune(algo PruneAlgo) *blocking.Result {
 	name := fmt.Sprintf("meta-%s-%s", algo, g.scheme)
 	var kept []record.Pair
@@ -440,11 +362,7 @@ func (g *Graph) Prune(algo PruneAlgo) *blocking.Result {
 	case CNP:
 		kept = g.pruneCNP()
 	}
-	blocks := make([][]record.ID, len(kept))
-	for i, p := range kept {
-		blocks[i] = []record.ID{p.Left(), p.Right()}
-	}
-	return blocking.NewResult(name, blocks)
+	return blocking.NewPairResult(name, kept)
 }
 
 func (g *Graph) pruneWEP() []record.Pair {
@@ -462,28 +380,31 @@ func (g *Graph) pruneWEP() []record.Pair {
 			kept = append(kept, g.pairs[i])
 		}
 	}
-	record.SortPairs(kept)
 	return kept
 }
 
+// pruneCEP keeps the K best edges: every edge at least as good as the K-th
+// best, in pair order.
 func (g *Graph) pruneCEP() []record.Pair {
-	k := int(g.totalAssign / 2)
+	k := g.totalAssign() / 2
 	if k <= 0 || len(g.pairs) == 0 {
 		return nil
 	}
-	top := g.TopWeighted(k)
-	kept := make([]record.Pair, len(top))
-	for i, wp := range top {
-		kept[i] = wp.Pair
-	}
-	record.SortPairs(kept)
+	h := heapTop(g.edges, len(g.pairs), k)
+	worst := h[0]
+	kept := make([]record.Pair, 0, len(h))
+	g.edges(func(wp WeightedPair) {
+		if wp == worst || weightedLess(wp, worst) {
+			kept = append(kept, wp.Pair)
+		}
+	})
 	return kept
 }
 
 // adjacency builds the per-node incident edge-index lists as one flat
 // CSR-style layout: edges[off[id]:off[id+1]] are node id's incident edges.
 func (g *Graph) adjacency() (off []int32, edges []int32) {
-	n := len(g.blocksOf)
+	n := g.numRecords()
 	deg := make([]int32, n+1)
 	for _, p := range g.pairs {
 		deg[p.Left()+1]++
@@ -507,10 +428,21 @@ func (g *Graph) adjacency() (off []int32, edges []int32) {
 	return off, edges
 }
 
+// keptPairs returns the marked edges' pairs, ascending.
+func (g *Graph) keptPairs(keep []bool) []record.Pair {
+	var kept []record.Pair
+	for i, ok := range keep {
+		if ok {
+			kept = append(kept, g.pairs[i])
+		}
+	}
+	return kept
+}
+
 func (g *Graph) pruneWNP() []record.Pair {
 	off, edges := g.adjacency()
-	keep := record.NewPairSet(len(g.pairs) / 2)
-	for id := 0; id < len(g.blocksOf); id++ {
+	keep := make([]bool, len(g.pairs))
+	for id := 0; id < g.numRecords(); id++ {
 		inc := edges[off[id]:off[id+1]]
 		if len(inc) == 0 {
 			continue
@@ -522,23 +454,23 @@ func (g *Graph) pruneWNP() []record.Pair {
 		mean := sum / float64(len(inc))
 		for _, ei := range inc {
 			if g.weights[ei] >= mean {
-				keep.AddPair(g.pairs[ei])
+				keep[ei] = true
 			}
 		}
 	}
-	return keep.Slice()
+	return g.keptPairs(keep)
 }
 
 func (g *Graph) pruneCNP() []record.Pair {
 	k := 1
 	if g.numNodes > 0 {
-		if kk := int(g.totalAssign) / g.numNodes; kk > k {
+		if kk := g.totalAssign() / g.numNodes; kk > k {
 			k = kk
 		}
 	}
 	off, edges := g.adjacency()
-	keep := record.NewPairSet(len(g.pairs) / 2)
-	for id := 0; id < len(g.blocksOf); id++ {
+	keep := make([]bool, len(g.pairs))
+	for id := 0; id < g.numRecords(); id++ {
 		inc := edges[off[id]:off[id+1]]
 		if len(inc) == 0 {
 			continue
@@ -555,10 +487,10 @@ func (g *Graph) pruneCNP() []record.Pair {
 			top = len(inc)
 		}
 		for _, ei := range inc[:top] {
-			keep.AddPair(g.pairs[ei])
+			keep[ei] = true
 		}
 	}
-	return keep.Slice()
+	return g.keptPairs(keep)
 }
 
 // TokenBlocking builds the redundancy-positive input block collection meta-

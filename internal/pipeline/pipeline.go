@@ -145,8 +145,9 @@ func WithMatcher(m *er.Matcher) Option {
 	return func(p *Pipeline) { p.matcher = m }
 }
 
-// WithWorkers sets the scoring worker count (default GOMAXPROCS). It never
-// changes the result, only the concurrency.
+// WithWorkers sets the width of the stages after blocking — the graph
+// build, featurization and scoring (default GOMAXPROCS). It never changes
+// the result, only the concurrency.
 func WithWorkers(n int) Option {
 	return func(p *Pipeline) {
 		if n > 0 {
@@ -278,18 +279,18 @@ func (p *Pipeline) RunContext(ctx context.Context, d *record.Dataset) (*Result, 
 					need[pr.Left()] = true
 					need[pr.Right()] = true
 				}
+				var rs []*record.Record
 				for id, ok := range need {
 					if ok {
-						kern.Featurize(d.Record(record.ID(id)))
+						rs = append(rs, d.Record(record.ID(id)))
 					}
 				}
+				kern.FeaturizeAll(rs, p.workers)
 				sp.End()
 			}
 		} else {
 			sp = tr.Start(obs.StageSign)
-			for _, r := range d.Records() {
-				kern.Featurize(r)
-			}
+			kern.FeaturizeAll(d.Records(), p.workers)
 			sp.End()
 		}
 		p.matchFinal(ctx, start, res, g, kern.Score, prepare, nil, d.Len())
@@ -307,17 +308,18 @@ func (p *Pipeline) RunContext(ctx context.Context, d *record.Dataset) (*Result, 
 // kernel still grows concurrently).
 func (p *Pipeline) matchFinal(ctx context.Context, start time.Time, res *Result, g *metablocking.Graph, score func(a, b record.ID) float64, prepare func([]record.Pair), lock *sync.RWMutex, n int) {
 	tr := obs.From(ctx)
-	pairs := res.Final.CandidatePairs().Slice()
+	if p.budget.active() && g == nil {
+		// No pruning stage: weight the raw block collection under CBS, the
+		// cheapest scheme, purely to order the drain. The graph's walk also
+		// fills the collection's Pairs.
+		sp := tr.Start(obs.StageGraph)
+		g = metablocking.BuildGraphWorkers(res.Blocks, metablocking.CBS, p.workers)
+		sp.End()
+	}
+	pairs := res.Final.Pairs()
 	drain := pairs
 	capped := false
 	if p.budget.active() {
-		if g == nil {
-			// No pruning stage: weight the raw block collection under CBS,
-			// the cheapest scheme, purely to order the drain.
-			sp := tr.Start(obs.StageGraph)
-			g = metablocking.BuildGraph(res.Blocks, metablocking.CBS)
-			sp.End()
-		}
 		k := 0
 		if p.budget.maxComparisons > 0 && p.budget.maxComparisons < int64(len(pairs)) {
 			k = int(p.budget.maxComparisons)
@@ -475,11 +477,17 @@ func (p *Pipeline) RunStreamContext(ctx context.Context, ix *stream.Indexer, row
 		if p.matcher != nil && !budgeted {
 			// Keep only matches the pruning stage retained, restoring
 			// batch/stream result parity: every pruned-collection pair was
-			// scored live (it is a subset of the emitted candidates).
-			kept := res.Pruned.CandidatePairs()
+			// scored live (it is a subset of the emitted candidates). Both
+			// lists are ascending, so one merge filters them.
+			sortMatches(matches)
+			kept := res.Pruned.Pairs()
 			filtered := matches[:0]
+			j := 0
 			for _, m := range matches {
-				if kept.Has(m.Pair.Left(), m.Pair.Right()) {
+				for j < len(kept) && kept[j] < m.Pair {
+					j++
+				}
+				if j < len(kept) && kept[j] == m.Pair {
 					filtered = append(filtered, m)
 				}
 			}
@@ -505,7 +513,7 @@ func (p *Pipeline) RunStreamContext(ctx context.Context, ix *stream.Indexer, row
 // graph stage, returning the graph as well so a budgeted matching stage
 // can rank the survivors under the same weights.
 func (p *Pipeline) applyPruning(blocks *blocking.Result) (*blocking.Result, *metablocking.Graph) {
-	g := metablocking.BuildGraph(blocks, p.prune.scheme)
+	g := metablocking.BuildGraphWorkers(blocks, p.prune.scheme, p.workers)
 	return g.Prune(p.prune.algo), g
 }
 

@@ -124,29 +124,53 @@ func TestRunMatchesResolve(t *testing.T) {
 }
 
 // TestRunDeterministicAcrossWorkers asserts worker count and batch size do
-// not change the result.
+// not change the result: the plain run, pruning under every scheme with
+// WEP and CNP, and a budgeted run each give the same pruned blocks,
+// matches and resolution on 1, 2, 3 and 16 workers. The fixture is large
+// enough for the graph walk to split into several chunks.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	d, bcfg, m := fixture(t, 200)
+	d, bcfg, m := fixture(t, 1400)
 	b, err := lsh.New(bcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want *Result
-	for _, workers := range []int{1, 4, 16} {
-		p, err := New(b, WithMatcher(m), WithWorkers(workers), WithBatchSize(workers*7))
-		if err != nil {
-			t.Fatal(err)
+	configs := map[string][]Option{
+		"plain":    nil,
+		"budgeted": {WithBudget(300, 0)},
+	}
+	for _, scheme := range metablocking.Schemes() {
+		for _, algo := range []metablocking.PruneAlgo{metablocking.WEP, metablocking.CNP} {
+			configs[fmt.Sprintf("%s+%s", algo, scheme)] = []Option{WithPruning(scheme, algo)}
 		}
-		res, err := p.Run(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = res
-			continue
-		}
-		if !reflect.DeepEqual(res.Matches, want.Matches) {
-			t.Fatalf("workers=%d changed matches: %d vs %d", workers, len(res.Matches), len(want.Matches))
+	}
+	for name, opts := range configs {
+		var want *Result
+		for _, workers := range []int{1, 2, 3, 16} {
+			all := append([]Option{WithMatcher(m), WithWorkers(workers), WithBatchSize(workers * 7)}, opts...)
+			p, err := New(b, all...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				if res.Stats.Comparisons < 1<<16 {
+					t.Fatalf("only %d comparisons: too few to split the graph walk", res.Stats.Comparisons)
+				}
+				want = res
+				continue
+			}
+			if res.Pruned != nil && !reflect.DeepEqual(res.Pruned.Blocks, want.Pruned.Blocks) {
+				t.Fatalf("%s: workers=%d changed the pruned blocks: %d vs %d", name, workers, len(res.Pruned.Blocks), len(want.Pruned.Blocks))
+			}
+			if !reflect.DeepEqual(res.Matches, want.Matches) {
+				t.Fatalf("%s: workers=%d changed matches: %d vs %d", name, workers, len(res.Matches), len(want.Matches))
+			}
+			if !reflect.DeepEqual(res.Resolution, want.Resolution) {
+				t.Fatalf("%s: workers=%d changed the resolution", name, workers)
+			}
 		}
 	}
 }

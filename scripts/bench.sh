@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${PATTERN:-BenchmarkPipelineBlock|BenchmarkPipelineEndToEnd|BenchmarkPipelineBudget|BenchmarkBlockLSH|BenchmarkBlockSALSH|BenchmarkBlockVoterSALSH|BenchmarkIndexerInsertBatch|BenchmarkServerIngest|BenchmarkCollectionIngest|BenchmarkCollectionRestore|BenchmarkSignBand|BenchmarkDecodeRows}"
+PATTERN="${PATTERN:-BenchmarkPipelineBlock|BenchmarkPipelineEndToEnd|BenchmarkPipelineBudget|BenchmarkBlockLSH|BenchmarkBlockSALSH|BenchmarkBlockVoterSALSH|BenchmarkIndexerInsertBatch|BenchmarkServerIngest|BenchmarkCollectionIngest|BenchmarkCollectionRestore|BenchmarkSignBand|BenchmarkDecodeRows|BenchmarkBuildGraph|BenchmarkKernelFeaturize}"
 BENCHTIME="${BENCHTIME:-1s}"
 COUNT="${COUNT:-1}"
 OUT="${OUT:-BENCH_pipeline.json}"
