@@ -112,8 +112,14 @@ func (r *Result) CandidatePairs() record.PairSet {
 // holds, computed once by the record-major walk (see Edges) and cached.
 // The slice is shared; callers must not modify it.
 func (r *Result) Pairs() []record.Pair {
+	return r.PairsWorkers(0)
+}
+
+// PairsWorkers is Pairs, walking on at most `workers` goroutines (0 =
+// engine.Workers(0)) when the list is not cached yet.
+func (r *Result) PairsWorkers(workers int) []record.Pair {
 	if !r.walked {
-		r.Edges(0, false)
+		r.sorted, r.walked = r.Edges(workers, false).Pairs, true
 	}
 	return r.sorted
 }

@@ -111,3 +111,31 @@ func TestKeyIndexDeduplicatesWithinBucket(t *testing.T) {
 		t.Errorf("block = %v, want sorted [1 2]", res.Blocks[0])
 	}
 }
+
+// TestEdgesLeavesPairsCache checks that a graph's walk does not cache its
+// edge list on the collection (a kept result would hold it for good),
+// while Pairs walks once and caches.
+func TestEdgesLeavesPairsCache(t *testing.T) {
+	r := NewResult("x", [][]record.ID{{3, 1, 2}, {1, 2}})
+	for _, w := range []int{1, 2} {
+		if e := r.Edges(w, false); len(e.Pairs) != 3 {
+			t.Fatalf("workers=%d: %d edges, want 3", w, len(e.Pairs))
+		}
+		if r.walked || r.sorted != nil {
+			t.Fatalf("workers=%d: Edges filled the Pairs cache", w)
+		}
+	}
+	want := []record.Pair{record.MakePair(1, 2), record.MakePair(1, 3), record.MakePair(2, 3)}
+	got := r.PairsWorkers(2)
+	if len(got) != len(want) {
+		t.Fatalf("Pairs = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Pairs = %v, want %v", got, want)
+		}
+	}
+	if !r.walked || &r.Pairs()[0] != &got[0] {
+		t.Error("Pairs should return the cached list")
+	}
+}

@@ -36,22 +36,24 @@ const (
 // Edges walks the collection record by record on at most `workers`
 // goroutines (0 = engine.Workers(0)) and returns its distinct pairs with
 // their common-block counts and, when arcs is set, their ARCS sums. The
-// output does not depend on the worker count. The walk also fills the
-// Pairs cache.
+// output does not depend on the worker count. The walk leaves the Pairs
+// cache alone: a collection that outlives its graph does not keep the edge
+// list alive.
 //
 // For each record r it counts every member m > r across r's blocks in a
 // dense per-worker accumulator; a pair's count is its common-block count.
 // Blocks need not be ID-sorted, but a block's members must be distinct.
 // Records go to workers in contiguous ranges of about equal work
 // (engine.ParallelTasks), and the ranges' outputs are concatenated in
-// record order, so edges come out in canonical order. This is comparison
+// record order, so edges come out in canonical order. The worker count is
+// capped at the average work per record, so the accumulators (4 bytes per
+// record each, 12 with ARCS) never outweigh the walk. This is comparison
 // propagation (arXiv 1905.06167): each pair is counted once per shared
 // block and emitted once, by its smaller record, with no pair index.
 func (r *Result) Edges(workers int, arcs bool) *Edges {
 	rows, member, cost := r.memberships()
 	n := len(rows) - 1
 	if n <= 0 {
-		r.sorted, r.walked = nil, true
 		return &Edges{}
 	}
 
@@ -71,11 +73,15 @@ func (r *Result) Edges(workers int, arcs bool) *Edges {
 	}
 	bounds = append(bounds, n)
 
+	// Each walker holds a dense accumulator over all n records, so there
+	// are never more walkers than work items per record: accumulator
+	// memory stays below the work it serves.
+	walkers := make([]*walker, min(engine.Workers(workers), max(1, int(total/int64(n)))))
+
 	// Each walker appends to its own output; spans[c] records where chunk
 	// c's edges landed, and the chunks are stitched in record order.
 	type span struct{ w, lo, hi int }
 	spans := make([]span, len(bounds)-1)
-	walkers := make([]*walker, engine.Workers(workers))
 	engine.ParallelTasks(len(spans), len(walkers), func(w, c int) {
 		if walkers[w] == nil {
 			walkers[w] = &walker{cnt: make([]int32, n)}
@@ -88,6 +94,12 @@ func (r *Result) Edges(workers int, arcs bool) *Edges {
 		spans[c] = span{w, lo, len(walkers[w].out.Pairs)}
 	})
 
+	if len(walkers) == 1 || len(spans) == 1 {
+		// One walker ran every chunk, in order: its output is the result.
+		e := walkers[0].out
+		e.Rows = rows
+		return &e
+	}
 	size := 0
 	for _, sp := range spans {
 		size += sp.hi - sp.lo
@@ -108,7 +120,6 @@ func (r *Result) Edges(workers int, arcs bool) *Edges {
 			e.ARCS = append(e.ARCS, o.ARCS[sp.lo:sp.hi]...)
 		}
 	}
-	r.sorted, r.walked = e.Pairs, true
 	return e
 }
 

@@ -223,6 +223,11 @@ func BuildGraphWorkers(res *blocking.Result, scheme WeightScheme, workers int) *
 // NumEdges returns the number of edges in the graph.
 func (g *Graph) NumEdges() int { return len(g.pairs) }
 
+// Pairs returns the edges in ascending canonical order: the pairs of the
+// collection the graph was built from. The slice is shared; callers must
+// not modify it.
+func (g *Graph) Pairs() []record.Pair { return g.pairs }
+
 // WeightOf returns the weight of the edge p and whether p is an edge.
 func (g *Graph) WeightOf(p record.Pair) (float64, bool) {
 	idx, ok := slices.BinarySearch(g.pairs, p)
@@ -320,27 +325,11 @@ func (g *Graph) TopWeighted(k int) []WeightedPair {
 // graph's weights, truncated to the k best (k <= 0 keeps all). Pairs that
 // are not graph edges weigh 0 — they can only appear after every true edge.
 // The pipeline uses this to drain a pruned collection's survivors in
-// descending weight order under a comparison budget. An ascending pair
-// list (what blocking.Result.Pairs returns) is merge-joined against the
-// edges; any other order looks each pair up.
+// descending weight order under a comparison budget.
 func (g *Graph) RankPairs(pairs []record.Pair, k int) []WeightedPair {
 	return selectTop(func(yield func(WeightedPair)) {
-		if !slices.IsSorted(pairs) {
-			for _, p := range pairs {
-				w, _ := g.WeightOf(p)
-				yield(WeightedPair{Pair: p, Weight: w})
-			}
-			return
-		}
-		j := 0
 		for _, p := range pairs {
-			for j < len(g.pairs) && g.pairs[j] < p {
-				j++
-			}
-			w := 0.0
-			if j < len(g.pairs) && g.pairs[j] == p {
-				w = g.weights[j]
-			}
+			w, _ := g.WeightOf(p)
 			yield(WeightedPair{Pair: p, Weight: w})
 		}
 	}, len(pairs), k)

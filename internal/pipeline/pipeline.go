@@ -308,15 +308,18 @@ func (p *Pipeline) RunContext(ctx context.Context, d *record.Dataset) (*Result, 
 // kernel still grows concurrently).
 func (p *Pipeline) matchFinal(ctx context.Context, start time.Time, res *Result, g *metablocking.Graph, score func(a, b record.ID) float64, prepare func([]record.Pair), lock *sync.RWMutex, n int) {
 	tr := obs.From(ctx)
+	var pairs []record.Pair
 	if p.budget.active() && g == nil {
 		// No pruning stage: weight the raw block collection under CBS, the
-		// cheapest scheme, purely to order the drain. The graph's walk also
-		// fills the collection's Pairs.
+		// cheapest scheme, purely to order the drain. Its edges are the
+		// collection's pairs.
 		sp := tr.Start(obs.StageGraph)
 		g = metablocking.BuildGraphWorkers(res.Blocks, metablocking.CBS, p.workers)
 		sp.End()
+		pairs = g.Pairs()
+	} else {
+		pairs = res.Final.PairsWorkers(p.workers)
 	}
-	pairs := res.Final.Pairs()
 	drain := pairs
 	capped := false
 	if p.budget.active() {
