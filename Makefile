@@ -25,8 +25,8 @@ lint: semlint
 
 # Builds the project multichecker from its nested module (tools/semlint, so
 # the root module keeps zero dependencies) and runs the whole suite —
-# hotpathalloc, nilreceiver, ctxflow, metriclint, lockdiscipline — over the
-# repository. Any diagnostic fails the build; suppress a justified one with
+# hotpathalloc, nilreceiver, ctxflow, metriclint, lockdiscipline, gostmt —
+# over the repository. Any diagnostic fails the build; suppress a justified one with
 # `//semblock:allow <analyzer> <reason>` (see docs/ARCHITECTURE.md).
 semlint:
 	go -C tools/semlint build -o ../../bin/semlint .

@@ -98,7 +98,7 @@ func ExampleIndexer() {
 
 // ExampleNewPipeline chains blocking and concurrent matching into one
 // composable run: the pipeline blocks the dataset through the parallel
-// table-build engine, scores the candidate pairs over a worker pool, and
+// table-build engine, scores the candidate pairs in parallel tasks, and
 // returns the matches plus their transitive clustering.
 func ExampleNewPipeline() {
 	d := semblock.NewDataset("people")

@@ -5,13 +5,14 @@
 // project-specific invariants the engine's hot paths rely on — no fmt or map
 // allocation in `//semblock:hotpath` functions, nil-receiver guards on the
 // obs no-op types, context-first plumbing, semblock_-prefixed metric names,
-// lock pairing and lock-order discipline — are enforced mechanically at lint
-// time instead of by code review alone.
+// lock pairing and lock-order discipline, goroutines started only by
+// engine.ParallelTasks — are enforced mechanically at lint time instead of
+// by code review alone.
 //
 // The concrete analyzers live in the subpackages (hotpathalloc, nilreceiver,
-// ctxflow, metriclint, lockdiscipline), the registry in semlint, fixture
-// testing support in analysistest, and the runnable multichecker in the
-// nested tools/semlint module.
+// ctxflow, metriclint, lockdiscipline, gostmt), the registry in semlint,
+// fixture testing support in analysistest, and the runnable multichecker in
+// the nested tools/semlint module.
 //
 // Two comment directives drive the suite:
 //

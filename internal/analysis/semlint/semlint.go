@@ -8,6 +8,7 @@ package semlint
 import (
 	"semblock/internal/analysis"
 	"semblock/internal/analysis/ctxflow"
+	"semblock/internal/analysis/gostmt"
 	"semblock/internal/analysis/hotpathalloc"
 	"semblock/internal/analysis/lockdiscipline"
 	"semblock/internal/analysis/metriclint"
@@ -22,5 +23,6 @@ func All() []*analysis.Analyzer {
 		ctxflow.Analyzer,
 		metriclint.Analyzer,
 		lockdiscipline.Analyzer,
+		gostmt.Analyzer,
 	}
 }

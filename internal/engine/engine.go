@@ -1,12 +1,17 @@
 // Package engine implements the shared parallel table-build core of the
-// (SA-)LSH blocking paths: a worker pool builds each of the l hash tables
-// concurrently from precomputed per-record key material, and a merge step
-// concatenates the per-table blocks in table order so the output is fully
-// deterministic for a fixed configuration.
+// (SA-)LSH blocking paths: each of the l hash tables is built as one task
+// from precomputed per-record key material, and a merge step concatenates
+// the per-table blocks in table order so the output is fully deterministic
+// for a fixed configuration.
+//
+// It also owns the tree's one parallel primitive, ParallelTasks: every
+// batch, resolve and ingest stage cuts its work into numbered tasks and
+// writes each task's output to a slot of its own, so results come out in
+// task order however the tasks were scheduled.
 //
 // The package owns the one bucket data structure both construction modes
 // share. The batch path (lsh.Blocker.Block) fills fresh Tables in parallel,
-// one worker per table; the streaming path (stream.Indexer) fills the same
+// one task per table; the streaming path (stream.Indexer) fills the same
 // Tables incrementally inside its shards and exports them on Snapshot. Both
 // paths file a record under at most one key per table with Table.Insert
 // and export through lsh.Signer.AppendBlocks (AppendBlocks here, or its
@@ -21,7 +26,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"semblock/internal/record"
 )
@@ -270,59 +274,34 @@ type Spec struct {
 	Key KeyFunc
 	// Export turns each finished table into its blocks.
 	Export ExportFunc
-	// Workers caps the worker pool (0 = GOMAXPROCS). Build never uses
+	// Workers is the build's width (0 = GOMAXPROCS). Build never uses
 	// more workers than tables. The worker count does not change the
 	// output, only how the tables are spread over goroutines.
 	Workers int
 }
 
-// Build constructs every table of the spec concurrently and returns the
-// concatenation of the per-table blocks (Export) in table order. Every
-// table sees records 0..n-1 in ID order, so with a deterministic Export —
-// AppendBlocks keeps bucket first-touch order and members in ID order —
-// the result is byte-for-byte deterministic for a fixed configuration,
-// independent of the worker count.
+// Build constructs every table of the spec concurrently, one ParallelTasks
+// task per table, and returns the concatenation of the per-table blocks
+// (Export) in table order. Every table sees records 0..n-1 in ID order, so
+// with a deterministic Export — AppendBlocks keeps bucket first-touch
+// order and members in ID order — the result is byte-for-byte
+// deterministic for a fixed configuration, independent of the worker
+// count.
 func Build(spec Spec) [][]record.ID {
 	if spec.Tables <= 0 {
 		return nil
 	}
-	workers := Workers(spec.Workers)
-	if workers > spec.Tables {
-		workers = spec.Tables
-	}
 	perTable := make([][][]record.ID, spec.Tables)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= spec.Tables {
-					return
-				}
-				tb := NewTable(spec.Records)
-				for id := 0; id < spec.Records; id++ {
-					if key, ok := spec.Key(t, record.ID(id)); ok {
-						tb.Insert(key, record.ID(id))
-					}
-				}
-				perTable[t] = spec.Export(t, tb)
+	ParallelTasks(spec.Tables, Workers(spec.Workers), func(_, t int) {
+		tb := NewTable(spec.Records)
+		for id := 0; id < spec.Records; id++ {
+			if key, ok := spec.Key(t, record.ID(id)); ok {
+				tb.Insert(key, record.ID(id))
 			}
-		}()
-	}
-	wg.Wait()
-
-	total := 0
-	for _, blocks := range perTable {
-		total += len(blocks)
-	}
-	out := make([][]record.ID, 0, total)
-	for _, blocks := range perTable {
-		out = append(out, blocks...)
-	}
-	return out
+		}
+		perTable[t] = spec.Export(t, tb)
+	})
+	return slices.Concat(perTable...)
 }
 
 // Workers resolves a worker-count setting: n when positive, otherwise
@@ -336,47 +315,20 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ParallelChunks splits [0,n) into up to `workers` contiguous chunks and
-// runs fn on each concurrently, returning when all chunks finish. It is the
-// worker-pool shape of the per-record stages of blocking and ingest —
-// signing in lsh.Blocker.Block, staging and band signing in
-// internal/stream, the canonical merge in internal/server. The stages after
-// blocking, which run beside request handlers in /resolve, use
-// ParallelTasks.
-func ParallelChunks(n, workers int, fn func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ParallelTasks runs fn(w, t) for every task t in [0,n) on up to `workers`
-// goroutines, w being the running goroutine's index below min(workers, n).
-// The caller hands the tasks out in order over an unbuffered channel, so
-// uneven tasks balance, and a worker between tasks waits for the handoff:
-// a batch stage that fills every CPU then still lets the scheduler run
-// request handlers and poll the network between tasks, rather than only
-// when a time slice ends.
+// ParallelTasks runs fn(w, t) for every task t in [0,n) on min(workers, n)
+// goroutines and returns when all have finished. w is the running
+// goroutine's index below min(workers, n), so a caller can give each
+// worker its own scratch (scratch[w]) and each task its own output slot
+// (out[t]); no two calls with the same w overlap. The caller hands the
+// tasks out in index order over an unbuffered channel, so uneven tasks
+// balance, and a worker between tasks waits for the hand-off: a batch
+// stage that fills every CPU then still lets the scheduler run request
+// handlers and poll the network between tasks, rather than only when a
+// time slice ends. With workers <= 1 (or a single task) every task runs
+// inline on the caller's goroutine with w = 0, in order.
+//
+// It is the only place in internal/ that starts goroutines for batch work
+// (semlint's gostmt analyzer enforces it).
 func ParallelTasks(n, workers int, fn func(w, t int)) {
 	workers = min(workers, n)
 	if workers <= 1 {

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -129,13 +130,18 @@ func TestBuildEdgeCases(t *testing.T) {
 }
 
 // TestParallelTasksRunsEachTaskOnce checks every task runs exactly once,
-// on a goroutine index below min(workers, n).
+// on a goroutine index below min(workers, n) — for no tasks, more workers
+// than tasks, and widths of 1 or less, which run inline, in order, with
+// w = 0.
 func TestParallelTasksRunsEachTaskOnce(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{{0, 4}, {1, 4}, {5, 1}, {7, 3}, {100, 16}} {
+	for _, tc := range []struct{ n, workers int }{
+		{0, 4}, {0, 0}, {1, 4}, {3, 8}, {5, 1}, {5, 0}, {5, -2}, {7, 3}, {100, 16},
+	} {
+		width := max(1, min(tc.workers, tc.n))
 		runs := make([]atomic.Int32, tc.n)
 		var bad atomic.Int32
 		ParallelTasks(tc.n, tc.workers, func(w, task int) {
-			if w < 0 || w >= min(tc.workers, tc.n) {
+			if w < 0 || w >= width {
 				bad.Add(1)
 			}
 			runs[task].Add(1)
@@ -147,6 +153,18 @@ func TestParallelTasksRunsEachTaskOnce(t *testing.T) {
 			if got := runs[task].Load(); got != 1 {
 				t.Errorf("n=%d workers=%d: task %d ran %d times", tc.n, tc.workers, task, got)
 			}
+		}
+		if tc.workers > 1 {
+			continue
+		}
+		// Inline: no synchronisation needed, and the order is the task order.
+		var order, want []int
+		ParallelTasks(tc.n, tc.workers, func(_, task int) { order = append(order, task) })
+		for task := 0; task < tc.n; task++ {
+			want = append(want, task)
+		}
+		if !slices.Equal(order, want) {
+			t.Errorf("n=%d workers=%d: inline run order %v", tc.n, tc.workers, order)
 		}
 	}
 }

@@ -77,8 +77,8 @@ type Config struct {
 	// Seed drives every random choice (hash seeds, semantic function
 	// selection); fixed seed ⇒ fully deterministic blocking.
 	Seed int64
-	// Workers caps the worker pools of the batch Block path — both the
-	// signature stage and the l concurrent table builds (0 = GOMAXPROCS).
+	// Workers is the width of the batch Block path — both the signature
+	// stage and the l concurrent table builds (0 = GOMAXPROCS).
 	// It never changes the blocking output, only how the work is spread
 	// over goroutines; Workers: 1 reproduces a fully single-threaded run.
 	Workers int
@@ -147,12 +147,12 @@ func (b *Blocker) Name() string { return b.cfg.Technique() }
 func (b *Blocker) Config() Config { return b.cfg }
 
 // Block groups the dataset into blocks. Records are staged and their active
-// bands signed on a worker pool, each worker signing into its own k·l
-// scratch and keeping only the l band keys per record, and each record's
-// semhash words land in one flat array; the l table builds then run through
-// internal/engine (both pools capped by Config.Workers), filing a record
-// once per active table under its band key and exporting through
-// AppendBlocks. Band keys are laid out table-major — keys[t·n+i] — so a
+// bands signed in contiguous record ranges, one engine.ParallelTasks task
+// per worker, each task signing into its own k·l scratch and keeping only
+// the l band keys per record, and each record's semhash words land in one
+// flat array; the l table builds then run through internal/engine (both
+// stages Config.Workers wide), filing a record once per active table under
+// its band key and exporting through AppendBlocks. Band keys are laid out table-major — keys[t·n+i] — so a
 // table build scans its n keys sequentially. Returns *SparseIDError if the
 // dataset's record IDs are not dense 0..n-1.
 func (b *Blocker) Block(d *record.Dataset) (*blocking.Result, error) {
@@ -162,10 +162,11 @@ func (b *Blocker) Block(d *record.Dataset) (*blocking.Result, error) {
 	s, n, w := b.signer, d.Len(), b.signer.words
 	keys := make([]uint64, b.cfg.L*n)
 	sems := make([]uint64, n*w)
-	engine.ParallelChunks(n, engine.Workers(b.cfg.Workers), func(lo, hi int) {
+	tasks := min(engine.Workers(b.cfg.Workers), n)
+	engine.ParallelTasks(tasks, tasks, func(_, t int) {
 		sig := make([]uint64, b.cfg.K*b.cfg.L)
 		var st Stage
-		for i := lo; i < hi; i++ {
+		for i := t * n / tasks; i < (t+1)*n/tasks; i++ {
 			r := d.Record(record.ID(i))
 			st.hashes = s.AppendKeyHashes(r, st.hashes[:0])
 			// The record's w words are appended in place: the arena has

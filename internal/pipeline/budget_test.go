@@ -209,6 +209,67 @@ func TestBudgetDeadline(t *testing.T) {
 	if res2.Resolution == nil || len(res2.Matches) != 0 {
 		t.Error("cancelled context result malformed")
 	}
+
+	// Wherever a deadline cuts the drain, the kept matches are exactly the
+	// unbudgeted run's matches among the first ComparisonsUsed pairs of the
+	// ranked (CBS, best-first) drain. The deadlines spread over a whole
+	// budgeted run's wall time, so some of them fall inside the drain.
+	full, err := New(b, WithMatcher(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.Run(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := metablocking.BuildGraph(want.Blocks, metablocking.CBS)
+	ranked := g.RankPairs(g.Pairs(), 0)
+	probe, err := New(b, WithMatcher(m), WithWorkers(4), WithBatchSize(16), WithBudget(0, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	if _, err := probe.Run(d); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(t0)
+	deadlines := []time.Duration{time.Nanosecond}
+	for i := 1; i <= 12; i++ {
+		deadlines = append(deadlines, wall*time.Duration(i)/10)
+	}
+	truncated := 0
+	for _, deadline := range deadlines {
+		p, err := New(b, WithMatcher(m), WithWorkers(4), WithBatchSize(16), WithBudget(0, deadline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Run(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Stats.Truncated {
+			continue
+		}
+		truncated++
+		t.Logf("deadline %v: kept %d of %d ranked pairs", deadline, got.Stats.ComparisonsUsed, len(ranked))
+		kept := make(map[record.Pair]bool)
+		for _, wp := range ranked[:got.Stats.ComparisonsUsed] {
+			kept[wp.Pair] = true
+		}
+		var wantMatches []Match
+		for _, mt := range want.Matches {
+			if kept[mt.Pair] {
+				wantMatches = append(wantMatches, mt)
+			}
+		}
+		if !reflect.DeepEqual(got.Matches, wantMatches) {
+			t.Errorf("deadline %v: %d matches over the first %d ranked pairs, want %d",
+				deadline, len(got.Matches), got.Stats.ComparisonsUsed, len(wantMatches))
+		}
+	}
+	if truncated == 0 {
+		t.Error("no deadline truncated the drain")
+	}
 }
 
 // TestBudgetStreamParity asserts a budgeted streaming run equals the

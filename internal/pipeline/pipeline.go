@@ -12,17 +12,17 @@
 //   - Batch: Run(dataset) blocks the dataset (the (SA-)LSH blockers use the
 //     parallel table-build engine underneath), optionally restructures the
 //     block collection with a meta-blocking weight scheme + prune algorithm,
-//     and scores the surviving candidate pairs concurrently — pair batches
-//     fan out over a channel to a scoring worker pool and matches fan back
-//     in.
+//     and scores the surviving candidate pairs concurrently — the drain is
+//     cut into tasks of a fixed number of pairs, run on
+//     engine.ParallelTasks, and each task's matches land in a slot of its
+//     own, concatenated in drain order.
 //   - Streaming: RunStream(indexer, rows) drives a live stream.Indexer:
-//     rows are inserted in mini-batches, candidate pairs drained from
-//     Indexer.Candidates() after every batch are scored by the same
-//     concurrent worker pool while later batches are still being inserted,
-//     and matches can be observed live through WithMatchSink. Pruning, a
-//     global operation over the final block collection, is applied to the
-//     closing Snapshot, and the collected matches are filtered to the
-//     pruned collection.
+//     rows are inserted in mini-batches, the candidate pairs drained from
+//     Indexer.Candidates() after every batch are scored the same way
+//     before the next batch is inserted, and matches can be observed live
+//     through WithMatchSink. Pruning, a global operation over the final
+//     block collection, is applied to the closing Snapshot, and the
+//     collected matches are filtered to the pruned collection.
 //
 // Both modes produce the same Result shape, and for a fixed configuration
 // the streaming run's final blocks, matches and clustering equal the batch
@@ -33,10 +33,11 @@
 package pipeline
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"semblock/internal/blocking"
@@ -79,8 +80,8 @@ type Stats struct {
 	// set. Unbudgeted runs always report false.
 	Truncated bool
 	// BlockTime, PruneTime and MatchTime are wall-clock stage durations.
-	// In streaming mode BlockTime covers insertion and MatchTime overlaps
-	// it (scoring runs while later batches insert).
+	// In streaming mode BlockTime covers insertion and MatchTime the
+	// scoring that follows each batch's insert; they do not overlap.
 	BlockTime, PruneTime, MatchTime time.Duration
 }
 
@@ -156,8 +157,8 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithBatchSize sets the pair-batch granularity of the scoring channel and
-// the row mini-batch size of RunStream (default 256).
+// WithBatchSize sets the number of pairs one scoring task scores and the
+// row mini-batch size of RunStream (default 256).
 func WithBatchSize(n int) Option {
 	return func(p *Pipeline) {
 		if n > 0 {
@@ -191,11 +192,11 @@ func WithBudget(maxComparisons int64, maxDuration time.Duration) Option {
 	}
 }
 
-// WithMatchSink registers a callback observing every match as it is
-// scored, before the run completes — the live-consumption hook for
-// streaming runs. The callback is invoked from a single collector
-// goroutine (never concurrently) in discovery order, which is not the
-// final canonical order of Result.Matches.
+// WithMatchSink registers a callback observing every match before the run
+// completes — the live-consumption hook for streaming runs. The callback
+// runs on the caller's goroutine (never concurrently), after each scoring
+// pass, in drain order: canonical for an unbudgeted batch run, best-first
+// for a budgeted one, and emission order, batch by batch, for a stream.
 func WithMatchSink(fn func(Match)) Option {
 	return func(p *Pipeline) { p.sink = fn }
 }
@@ -293,7 +294,7 @@ func (p *Pipeline) RunContext(ctx context.Context, d *record.Dataset) (*Result, 
 			kern.FeaturizeAll(d.Records(), p.workers)
 			sp.End()
 		}
-		p.matchFinal(ctx, start, res, g, kern.Score, prepare, nil, d.Len())
+		p.matchFinal(ctx, start, res, g, kern.Score, prepare, d.Len())
 		res.Stats.MatchTime = time.Since(t2)
 	}
 	return res, nil
@@ -301,12 +302,12 @@ func (p *Pipeline) RunContext(ctx context.Context, d *record.Dataset) (*Result, 
 
 // matchFinal runs the (possibly budgeted) scoring stage over the final
 // collection's candidate pairs: rank best-first when a budget is active,
-// drain through the worker pool, and finish the result. prepare, when
-// non-nil, is called with the drain set before any scoring — the batch
-// path uses it to featurize only the records the drain touches. lock,
-// when non-nil, is read-held around each batch (streaming mode, where the
-// kernel still grows concurrently).
-func (p *Pipeline) matchFinal(ctx context.Context, start time.Time, res *Result, g *metablocking.Graph, score func(a, b record.ID) float64, prepare func([]record.Pair), lock *sync.RWMutex, n int) {
+// score the drain in tasks (score), hand the matches to the sink in drain
+// order, and finish the result. A cancelled context or a passed deadline
+// cuts the drain at a task boundary. prepare, when non-nil, is called with
+// the drain set before any scoring — the batch path uses it to featurize
+// only the records the drain touches.
+func (p *Pipeline) matchFinal(ctx context.Context, start time.Time, res *Result, g *metablocking.Graph, score func(a, b record.ID) float64, prepare func([]record.Pair), n int) {
 	tr := obs.From(ctx)
 	var pairs []record.Pair
 	if p.budget.active() && g == nil {
@@ -339,42 +340,26 @@ func (p *Pipeline) matchFinal(ctx context.Context, start time.Time, res *Result,
 	if prepare != nil {
 		prepare(drain)
 	}
-	deadline := time.Time{}
-	if p.budget.maxDuration > 0 {
-		deadline = start.Add(p.budget.maxDuration)
-	}
 
 	spMatch := tr.Start(obs.StageMatch)
-	sc := p.newScorer(score, lock)
-	var used int64
-	cut := false
-	for lo := 0; lo < len(drain); lo += p.batch {
-		if ctx.Err() != nil || (!deadline.IsZero() && !time.Now().Before(deadline)) {
-			cut = true
-			break
-		}
-		hi := lo + p.batch
-		if hi > len(drain) {
-			hi = len(drain)
-		}
-		sc.submit(drain[lo:hi])
-		used += int64(hi - lo)
-	}
-	matches := sc.wait()
-	spMatch.EndTruncated(cut || capped)
-	res.Stats.ComparisonsUsed = used
-	res.Stats.Truncated = cut || capped
-	p.finishMatches(res, matches, used, n)
+	matches, used := p.score(drain, score, func() bool {
+		return ctx.Err() != nil || p.budget.maxDuration > 0 && time.Since(start) >= p.budget.maxDuration
+	})
+	res.Stats.Truncated = capped || used < len(drain)
+	spMatch.EndTruncated(res.Stats.Truncated)
+	p.emit(matches)
+	p.finishMatches(res, matches, int64(used), n)
 }
 
 // RunStream executes the pipeline in streaming mode: rows received from
-// the channel are inserted into the indexer in mini-batches, candidate
-// pairs drained after each batch are scored concurrently while insertion
-// continues, and the pruning stage (if any) is applied to the final
-// snapshot. With a pruning stage the collected matches are then filtered
-// to the pruned collection, so Result.Matches and Result.Resolution equal
-// the batch run's for the same configuration; the live WithMatchSink hook
-// still observes every pre-pruning match as it is scored, and
+// the channel are inserted into the indexer in mini-batches, the
+// candidate pairs drained after each batch are scored concurrently before
+// the next batch is inserted, and the pruning stage (if any) is applied to
+// the final snapshot. With a pruning stage the collected matches are then
+// filtered to the pruned collection, so Result.Matches and
+// Result.Resolution equal the batch run's for the same configuration; the
+// live WithMatchSink hook still observes every pre-pruning match as it is
+// scored, and
 // Stats.PairsScored counts all pairs scored live (which can exceed
 // PrunedComparisons). The indexer must be freshly constructed with the
 // intended (SA-)LSH configuration — in this mode it is the blocking stage,
@@ -402,39 +387,28 @@ func (p *Pipeline) RunStreamContext(ctx context.Context, ix *stream.Indexer, row
 	res := &Result{}
 
 	// The kernel mirrors the inserted records for the scoring stage:
-	// candidate pairs only ever reference already-inserted IDs, so workers
-	// read-lock the kernel per batch while the feeder write-locks to
-	// featurize new records.
-	var mu sync.RWMutex
+	// candidate pairs only ever reference already-inserted IDs, and each
+	// batch is scored after its insert, so the kernel never grows while
+	// it is read.
 	var kern *er.Kernel
 	if p.matcher != nil {
 		kern = er.NewKernel(p.matcher, 0)
 	}
-	budgeted := p.budget.active()
+	live := p.matcher != nil && !p.budget.active()
 
-	var sc *scorer
+	// Feed stage: mini-batch insertion, candidate draining and scoring.
+	var matches []Match
 	var scored int64
-	matchStart := time.Now()
-	if p.matcher != nil && !budgeted {
-		sc = p.newScorer(kern.Score, &mu)
-	}
-
-	// Feed stage: mini-batch insertion plus candidate draining.
 	dataset := record.NewDataset("pipeline-stream")
 	batch := make([]stream.Row, 0, p.batch)
 	flush := func() {
 		if len(batch) == 0 {
 			return
 		}
-		if kern != nil {
-			mu.Lock()
-			for _, row := range batch {
-				kern.Featurize(dataset.Append(row.Entity, row.Attrs))
-			}
-			mu.Unlock()
-		} else {
-			for _, row := range batch {
-				dataset.Append(row.Entity, row.Attrs)
+		for _, row := range batch {
+			r := dataset.Append(row.Entity, row.Attrs)
+			if kern != nil {
+				kern.Featurize(r)
 			}
 		}
 		ix.InsertBatch(batch)
@@ -442,10 +416,15 @@ func (p *Pipeline) RunStreamContext(ctx context.Context, ix *stream.Indexer, row
 		// Drain even without a matcher, so the indexer's pending queue
 		// stays bounded over long streams.
 		pairs := ix.Candidates()
-		if sc != nil && len(pairs) > 0 {
-			scored += int64(len(pairs))
-			sc.submit(pairs)
+		if !live || len(pairs) == 0 {
+			return
 		}
+		t := time.Now()
+		ms, _ := p.score(pairs, kern.Score, nil)
+		res.Stats.MatchTime += time.Since(t)
+		p.emit(ms)
+		matches = append(matches, ms...)
+		scored += int64(len(pairs))
 	}
 	for row := range rows {
 		batch = append(batch, row)
@@ -454,12 +433,7 @@ func (p *Pipeline) RunStreamContext(ctx context.Context, ix *stream.Indexer, row
 		}
 	}
 	flush()
-	res.Stats.BlockTime = time.Since(start)
-	var matches []Match
-	if sc != nil {
-		matches = sc.wait()
-		res.Stats.MatchTime = time.Since(matchStart)
-	}
+	res.Stats.BlockTime = time.Since(start) - res.Stats.MatchTime
 
 	res.Stats.Records = dataset.Len()
 	blocks := ix.Snapshot()
@@ -477,7 +451,7 @@ func (p *Pipeline) RunStreamContext(ctx context.Context, ix *stream.Indexer, row
 		res.Stats.PruneTime = time.Since(t1)
 		res.Final = res.Pruned
 		res.Stats.PrunedComparisons = res.Pruned.Comparisons()
-		if p.matcher != nil && !budgeted {
+		if live {
 			// Keep only matches the pruning stage retained, restoring
 			// batch/stream result parity: every pruned-collection pair was
 			// scored live (it is a subset of the emitted candidates). Both
@@ -497,17 +471,13 @@ func (p *Pipeline) RunStreamContext(ctx context.Context, ix *stream.Indexer, row
 			matches = filtered
 		}
 	}
-	if p.matcher != nil {
-		if budgeted {
-			// The stream has closed: the kernel is complete and immutable,
-			// so the budgeted drain needs no locking.
-			t2 := time.Now()
-			p.matchFinal(ctx, start, res, g, kern.Score, nil, nil, dataset.Len())
-			res.Stats.MatchTime = time.Since(t2)
-		} else {
-			res.Stats.ComparisonsUsed = scored
-			p.finishMatches(res, matches, scored, dataset.Len())
-		}
+	if live {
+		p.finishMatches(res, matches, scored, dataset.Len())
+	} else if p.matcher != nil {
+		// Budgeted: the stream has closed and the kernel is complete.
+		t2 := time.Now()
+		p.matchFinal(ctx, start, res, g, kern.Score, nil, dataset.Len())
+		res.Stats.MatchTime = time.Since(t2)
 	}
 	return res, nil
 }
@@ -520,100 +490,59 @@ func (p *Pipeline) applyPruning(blocks *blocking.Result) (*blocking.Result, *met
 	return g.Prune(p.prune.algo), g
 }
 
-// scorer is the concurrent scoring stage shared by Run and RunStream: pair
-// batches fan out over a channel to a worker pool, matches fan back in
-// through a single collector goroutine that feeds the sink. Scoring goes
-// through an er.Kernel score function — the zero-allocation per-pair path —
-// and the per-batch []Match buffers cycle through a pool between workers
-// and collector, so the steady-state stage costs no allocation per batch.
-type scorer struct {
-	p         *Pipeline
-	score     func(a, b record.ID) float64
-	lock      *sync.RWMutex // read-held per batch when the kernel still grows
-	pairCh    chan []record.Pair
-	matchCh   chan *[]Match
-	bufPool   sync.Pool
-	workerWG  sync.WaitGroup
-	collectWG sync.WaitGroup
-	matches   []Match
-}
-
-// newScorer starts the worker pool and collector. Callers feed batches via
-// submit and finish with wait. lock, when non-nil, is read-held around
-// each batch's scoring (streaming mode, where the feeder concurrently
-// featurizes new records under the write lock).
-func (p *Pipeline) newScorer(score func(a, b record.ID) float64, lock *sync.RWMutex) *scorer {
-	s := &scorer{
-		p:       p,
-		score:   score,
-		lock:    lock,
-		pairCh:  make(chan []record.Pair, p.workers),
-		matchCh: make(chan *[]Match, p.workers),
-	}
-	s.bufPool.New = func() any {
-		buf := make([]Match, 0, p.batch)
-		return &buf
-	}
+// score scores pairs in tasks of p.batch pairs (engine.ParallelTasks),
+// each writing its matches to its own slot, and returns the slots
+// concatenated in pair order plus the number of pairs scored. stop, when
+// non-nil, is checked as each task starts: the first task to see it true
+// records its index as the cut (an atomic min) and later tasks skip, so
+// the result is exactly the threshold-passing pairs of pairs[:scored].
+func (p *Pipeline) score(pairs []record.Pair, score func(a, b record.ID) float64, stop func() bool) ([]Match, int) {
 	thr := p.matcher.Threshold()
-	for w := 0; w < p.workers; w++ {
-		s.workerWG.Add(1)
-		go func() {
-			defer s.workerWG.Done()
-			for batch := range s.pairCh {
-				bp := s.bufPool.Get().(*[]Match)
-				out := (*bp)[:0]
-				if s.lock != nil {
-					s.lock.RLock()
-				}
-				for _, pr := range batch {
-					if sc := s.score(pr.Left(), pr.Right()); sc >= thr {
-						out = append(out, Match{Pair: pr, Score: sc})
-					}
-				}
-				if s.lock != nil {
-					s.lock.RUnlock()
-				}
-				*bp = out
-				s.matchCh <- bp
-			}
-		}()
-	}
-	s.collectWG.Add(1)
-	go func() {
-		defer s.collectWG.Done()
-		for bp := range s.matchCh {
-			for _, m := range *bp {
-				if p.sink != nil {
-					p.sink(m)
-				}
-				s.matches = append(s.matches, m)
-			}
-			s.bufPool.Put(bp)
+	tasks := (len(pairs) + p.batch - 1) / p.batch
+	slots := make([][]Match, tasks)
+	var cut atomic.Int64
+	cut.Store(int64(tasks))
+	engine.ParallelTasks(tasks, p.workers, func(_, t int) {
+		if int64(t) >= cut.Load() {
+			return
 		}
-	}()
-	go func() {
-		s.workerWG.Wait()
-		close(s.matchCh)
-	}()
-	return s
+		if stop != nil && stop() {
+			for c := cut.Load(); int64(t) < c && !cut.CompareAndSwap(c, int64(t)); c = cut.Load() {
+			}
+			return
+		}
+		var out []Match
+		for _, pr := range pairs[t*p.batch : min((t+1)*p.batch, len(pairs))] {
+			if sc := score(pr.Left(), pr.Right()); sc >= thr {
+				out = append(out, Match{Pair: pr, Score: sc})
+			}
+		}
+		slots[t] = out
+	})
+	kept := int(cut.Load())
+	return slices.Concat(slots[:kept]...), min(kept*p.batch, len(pairs))
 }
 
-// submit feeds one pair batch to the pool (blocks when the pool is busy).
-func (s *scorer) submit(pairs []record.Pair) { s.pairCh <- pairs }
-
-// wait closes the intake, drains the pool and returns all matches in
-// discovery order.
-func (s *scorer) wait() []Match {
-	close(s.pairCh)
-	s.collectWG.Wait()
-	return s.matches
+// emit hands matches to the sink, if any, on the caller's goroutine.
+func (p *Pipeline) emit(ms []Match) {
+	if p.sink == nil {
+		return
+	}
+	for _, m := range ms {
+		p.sink(m)
+	}
 }
 
-// finishMatches orders the matches canonically and derives the resolution.
+// finishMatches orders the matches canonically, records how many pairs
+// were scored and derives the resolution.
+// A budgeted drain arrives in rank order and a stream's in emission order;
+// an unbudgeted batch drain is already canonical, which the sort checks in
+// one pass.
 func (p *Pipeline) finishMatches(res *Result, matches []Match, scored int64, n int) {
 	sortMatches(matches)
 	res.Matches = matches
 	res.Stats.PairsScored = scored
+	res.Stats.ComparisonsUsed = scored
 	res.Stats.Matches = len(matches)
 	pairs := make([]record.Pair, len(matches))
 	for i, m := range matches {
@@ -623,8 +552,7 @@ func (p *Pipeline) finishMatches(res *Result, matches []Match, scored int64, n i
 }
 
 // sortMatches orders matches canonically (pairs are totally ordered
-// uint64s), making Result.Matches deterministic regardless of worker
-// scheduling.
+// uint64s).
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Pair < ms[j].Pair })
+	slices.SortFunc(ms, func(a, b Match) int { return cmp.Compare(a.Pair, b.Pair) })
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"semblock/internal/datagen"
@@ -367,21 +366,16 @@ func mustBlocker(t *testing.T, cfg lsh.Config) *lsh.Blocker {
 	return b
 }
 
-// TestMatchSink checks the live sink observes exactly the final match set,
-// in both modes.
+// TestMatchSink checks the sink observes every match on the caller's
+// goroutine in drain order: canonical pair order for an unbudgeted batch
+// run, and for a stream each batch's matches in the indexer's emission
+// order.
 func TestMatchSink(t *testing.T) {
 	d, bcfg, m := fixture(t, 200)
-	b, err := lsh.New(bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
+	b := mustBlocker(t, bcfg)
 	var seen []record.Pair
-	p, err := New(b, WithMatcher(m), WithMatchSink(func(mt Match) {
-		mu.Lock()
-		seen = append(seen, mt.Pair)
-		mu.Unlock()
-	}))
+	sink := WithMatchSink(func(mt Match) { seen = append(seen, mt.Pair) })
+	p, err := New(b, WithMatcher(m), sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,13 +383,61 @@ func TestMatchSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	record.SortPairs(seen)
 	want := make([]record.Pair, len(res.Matches))
 	for i, mt := range res.Matches {
 		want[i] = mt.Pair
 	}
 	if !reflect.DeepEqual(seen, want) {
-		t.Fatalf("sink saw %d matches, result has %d", len(seen), len(want))
+		t.Fatalf("batch sink saw %d matches out of drain order, result has %d", len(seen), len(want))
+	}
+
+	// Stream: an oracle indexer fed the same mini-batches emits the same
+	// drain sequence; its pairs that matched are what the sink must see.
+	const batch = 23
+	seen = nil
+	ps, err := New(b, WithMatcher(m), WithBatchSize(batch), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := stream.NewIndexer(bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(chan stream.Row)
+	go func() {
+		defer close(rows)
+		for _, r := range d.Records() {
+			rows <- stream.Row{Entity: r.Entity, Attrs: r.Attrs}
+		}
+	}()
+	got, err := ps.RunStream(ix, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched := make(map[record.Pair]bool)
+	for _, mt := range got.Matches {
+		matched[mt.Pair] = true
+	}
+	oracle, err := stream.NewIndexer(bcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = want[:0]
+	recs := d.Records()
+	for lo := 0; lo < len(recs); lo += batch {
+		var rs []stream.Row
+		for _, r := range recs[lo:min(lo+batch, len(recs))] {
+			rs = append(rs, stream.Row{Entity: r.Entity, Attrs: r.Attrs})
+		}
+		oracle.InsertBatch(rs)
+		for _, pr := range oracle.Candidates() {
+			if matched[pr] {
+				want = append(want, pr)
+			}
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(seen, want) {
+		t.Fatalf("stream sink saw %d matches, want %d in emission order", len(seen), len(want))
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 // with stream.WithTables) and attaches to the collection's log with
 // stream.WithSharedLog, so the record log is stored exactly once per
 // collection and each record's q-gram + semhash signature stage is computed
-// exactly once — by the collection's worker pool — no matter how many
-// shards consume it. Record IDs are assigned by the log, so shard-local IDs
+// exactly once — in parallel record ranges on engine.ParallelTasks, the
+// tree's one parallel primitive — no matter how many shards consume it. Record IDs are assigned by the log, so shard-local IDs
 // coincide with the collection's global IDs and candidate pairs from
 // different shards merge without translation. Because the shard table
 // subsets are disjoint and cover 0..l-1, the deduplicated union of the
@@ -101,11 +101,11 @@ func newCollection(spec CollectionSpec) (*Collection, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The shared log's staging pool does the per-record q-gram + semhash
-	// work once for the whole collection, so it gets the full worker
-	// budget; the per-shard pools only mix their own tables' minhash
-	// components and are sized 1/N of it so a fan-out ingest does not
-	// oversubscribe the CPU by a factor of the shard count.
+	// The shared log's staging pass does the per-record q-gram + semhash
+	// work once for the whole collection, so it gets the full width; the
+	// shards' signing passes only mix their own tables' minhash components
+	// and are 1/N as wide, so a fan-out ingest does not oversubscribe the
+	// CPU by a factor of the shard count.
 	log, err := stream.NewSharedLog(spec.Name, cfg, spec.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("server: shared log of %s: %w", spec.Name, err)
@@ -163,9 +163,9 @@ func (c *Collection) PairCount() int {
 
 // Ingest appends a batch of records to the collection and returns their
 // assigned (dense, global) IDs. The batch is appended to the shared log
-// once — which computes each record's signature stage exactly once, on the
-// collection's worker pool — then handed to every shard concurrently; each
-// shard fills only its own hash tables from the precomputed stages. The
+// once — which computes each record's signature stage exactly once — then
+// handed to every shard concurrently, one task per shard; each shard fills
+// only its own hash tables from the precomputed stages. The
 // shards' collision pairs are merged in canonical emission order
 // (record-major, sorted and deduplicated within one record's group) and
 // queued for the consumer groups.
@@ -179,15 +179,9 @@ func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 	defer c.mu.Unlock()
 	batch := c.log.Append(rows)
 	perShard := make([]stream.PairGroups, len(c.shards))
-	var wg sync.WaitGroup
-	for si, sh := range c.shards {
-		wg.Add(1)
-		go func(si int, sh *stream.Indexer) {
-			defer wg.Done()
-			perShard[si] = sh.InsertStaged(batch)
-		}(si, sh)
-	}
-	wg.Wait()
+	engine.ParallelTasks(len(c.shards), len(c.shards), func(_, si int) {
+		perShard[si] = c.shards[si].InsertStaged(batch)
+	})
 	// Canonical merge. Every pair in record i's group has Right() ==
 	// batch.IDs[i]: records are filed in ID order, so a pair surfaces only
 	// while its higher-ID record is inserted. A repeat therefore comes only
@@ -199,9 +193,11 @@ func (c *Collection) Ingest(rows []stream.Row) ([]record.ID, error) {
 	// drain cursor (a plain count) resume delivery exactly after a replay.
 	// Groups are disjoint, so the per-record merge runs in parallel; only
 	// the final in-order queue append is sequential.
-	groups := flattenGroups(perShard, len(rows))
-	engine.ParallelChunks(len(rows), engine.Workers(c.spec.Workers), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	n := len(rows)
+	groups := flattenGroups(perShard, n)
+	tasks := min(engine.Workers(c.spec.Workers), n)
+	engine.ParallelTasks(tasks, tasks, func(_, t int) {
+		for i := t * n / tasks; i < (t+1)*n/tasks; i++ {
 			groups[i] = dedupGroup(groups[i])
 		}
 	})
@@ -264,15 +260,9 @@ func (c *Collection) replayRows(rows []stream.Row) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	batch := c.log.Append(rows)
-	var wg sync.WaitGroup
-	for _, sh := range c.shards {
-		wg.Add(1)
-		go func(sh *stream.Indexer) {
-			defer wg.Done()
-			sh.ReplayStaged(batch)
-		}(sh)
-	}
-	wg.Wait()
+	engine.ParallelTasks(len(c.shards), len(c.shards), func(_, si int) {
+		c.shards[si].ReplayStaged(batch)
+	})
 }
 
 // canonicalSeqLocked reconstructs the full canonical emission sequence from

@@ -36,8 +36,8 @@ type CollectionSpec struct {
 	// set equals an unsharded index's — sharding changes write parallelism,
 	// never results.
 	Shards int `json:"shards,omitempty"`
-	// Workers caps each shard's signature worker pool (0 = GOMAXPROCS spread
-	// evenly over the shards).
+	// Workers is the width of the collection's staging, signing and merge
+	// passes (0 = GOMAXPROCS, spread evenly over the shards for signing).
 	Workers int `json:"workers,omitempty"`
 	// Semantic upgrades the collection from LSH to SA-LSH.
 	Semantic *SemanticSpec `json:"semantic,omitempty"`

@@ -705,7 +705,8 @@ func (s *Server) handleConsumerStream(w http.ResponseWriter, r *http.Request, c 
 	group := r.PathValue("group")
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	go func() { // release the stream on graceful shutdown
+	//semblock:allow gostmt lifecycle: releases this SSE stream on graceful shutdown, not batch work
+	go func() {
 		select {
 		case <-s.pushStop:
 			cancel()

@@ -137,7 +137,7 @@ func (s *Server) startSink(c *Collection, group string) {
 	w := &sinkWorker{stop: make(chan struct{})}
 	s.sinks[key] = w
 	s.sinkWG.Add(1)
-	go s.runSink(c, group, *st.Webhook, w)
+	go s.runSink(c, group, *st.Webhook, w) //semblock:allow gostmt lifecycle: one webhook worker per group, stopped by its stop channel
 }
 
 // startCollectionSinks launches workers for every webhook-carrying group of

@@ -23,11 +23,12 @@
 // duplication plain per-shard indexers would pay.
 //
 // Concurrency model: a mini-batch's signature stages and band keys are
-// computed by a pool of workers (GOMAXPROCS by default); the l hash
-// tables are distributed round-robin over the same number of shards, each
-// shard guarding its tables with its own mutex, so bucket updates of one
-// batch proceed in parallel across shards while staying sequential (in record
-// order) within each shard. Insert may also be called from many goroutines
+// computed over contiguous record ranges, one engine.ParallelTasks task
+// per range (GOMAXPROCS wide by default); the l hash tables are
+// distributed round-robin over the same number of shards, each shard
+// guarding its tables with its own mutex, and a batch's bucket updates run
+// one task per shard, so they proceed in parallel across shards while
+// staying sequential (in record order) within each shard. Insert may also be called from many goroutines
 // concurrently; candidate-pair output is deduplicated globally either way.
 package stream
 
@@ -59,7 +60,7 @@ type Row struct {
 // staging step of ingestion: Append computes each appended record's
 // lsh.Stage (the shard-independent half of signing: attribute
 // concatenation, q-gram shingling, shingle hashes, semhash) exactly
-// once on the log's worker pool, no matter how many table-subset Indexers
+// once, in parallel record ranges, no matter how many table-subset Indexers
 // consume the staged batch. Stages are per-batch hand-offs, not retained
 // state: once every shard has filed the batch they are garbage.
 //
@@ -106,8 +107,8 @@ func (l *SharedLog) SetBandCounters(signed, skipped *obs.Counter) {
 
 // NewSharedLog builds an empty shared record log for the given (SA-)LSH
 // configuration. Indexers attach with WithSharedLog; their configuration
-// must match the log's (NewIndexer enforces it). workers sizes the staging
-// worker pool (<= 0 means GOMAXPROCS, see engine.Workers).
+// must match the log's (NewIndexer enforces it). workers is the staging
+// width (<= 0 means GOMAXPROCS, see engine.Workers).
 func NewSharedLog(name string, cfg lsh.Config, workers int) (*SharedLog, error) {
 	signer, err := lsh.NewSigner(cfg)
 	if err != nil {
@@ -128,10 +129,11 @@ type StagedBatch struct {
 }
 
 // Append appends a mini-batch of records to the log, computes their
-// signature stages with the worker pool, and returns the staged batch.
-// Stages are stored by value and each worker appends its records' hash
-// material to one growing arena (lsh.Signer.StageAppend), so staging a
-// batch of n records costs O(workers · log n) allocations, not O(n).
+// signature stages in contiguous record ranges, one engine.ParallelTasks
+// task per worker, and returns the staged batch. Stages are stored by value
+// and each task appends its records' hash material to its own growing
+// arena (lsh.Signer.StageAppend), so staging a batch of n records costs
+// O(workers · log n) allocations, not O(n).
 func (l *SharedLog) Append(rows []Row) StagedBatch {
 	if len(rows) == 0 {
 		return StagedBatch{}
@@ -148,10 +150,12 @@ func (l *SharedLog) Append(rows []Row) StagedBatch {
 	if l.stageHist != nil {
 		stageStart = time.Now()
 	}
-	stages := make([]lsh.Stage, len(recs))
-	engine.ParallelChunks(len(recs), l.workers, func(lo, hi int) {
+	n := len(recs)
+	stages := make([]lsh.Stage, n)
+	tasks := min(l.workers, n)
+	engine.ParallelTasks(tasks, tasks, func(_, t int) {
 		var arena []uint64
-		for i := lo; i < hi; i++ {
+		for i := t * n / tasks; i < (t+1)*n/tasks; i++ {
 			stages[i], arena = l.signer.StageAppend(recs[i], arena)
 		}
 	})
@@ -463,7 +467,7 @@ func (ix *Indexer) InsertStaged(b StagedBatch) PairGroups {
 		hint = int(min(pairs, pairs*int64(len(b.IDs))/recs)) / len(ix.shards)
 	}
 
-	// Bucket updates, one goroutine per shard, records in order, collision
+	// Bucket updates, one task per shard, records in order, collision
 	// pairs accumulated flat with per-record offsets.
 	perShard := make([]PairGroups, len(ix.shards))
 	ix.eachShard(len(b.IDs), func(si int, sh *shard) {
@@ -517,47 +521,38 @@ func (ix *Indexer) ReplayStaged(b StagedBatch) {
 	})
 }
 
-// eachShard runs fn once per shard: concurrently for a batch, inline for a
-// single record, where a goroutine per shard costs more than the handful of
-// bucket updates it would run.
+// eachShard runs fn once per shard, one task each: concurrently for a
+// batch, inline (width 1) for a single record, where a goroutine per shard
+// costs more than the handful of bucket updates it would run.
 func (ix *Indexer) eachShard(batch int, fn func(si int, sh *shard)) {
-	if batch == 1 || len(ix.shards) == 1 {
-		for si, sh := range ix.shards {
-			fn(si, sh)
-		}
-		return
+	width := len(ix.shards)
+	if batch == 1 {
+		width = 1
 	}
-	var wg sync.WaitGroup
-	for si, sh := range ix.shards {
-		wg.Add(1)
-		go func(si int, sh *shard) {
-			defer wg.Done()
-			fn(si, sh)
-		}(si, sh)
-	}
-	wg.Wait()
+	engine.ParallelTasks(len(ix.shards), width, func(_, si int) { fn(si, ix.shards[si]) })
 }
 
-// bandKeys is the signing step every ingest path shares: the worker pool
-// signs each staged record's active bands of this index's tables into a
-// per-worker k·l scratch and keeps only the band keys — record-major, one
-// slot per maintained table (recordKeys), slots of inactive tables left
-// unwritten. A family of shards partitioning the tables performs the same
+// bandKeys is the signing step every ingest path shares: record ranges, one
+// task per worker, sign each staged record's active bands of this index's
+// tables into the task's k·l scratch and keep only the band keys —
+// record-major, one slot per maintained table (recordKeys), slots of
+// inactive tables left unwritten. Each task adds its signed and skipped bands to the log's
+// counters. A family of shards partitioning the tables performs the same
 // total hash work as one unrestricted index.
 func (ix *Indexer) bandKeys(stages []lsh.Stage) []uint64 {
 	cfg, ls := ix.signer.Config(), len(ix.tableSubset)
 	keys := make([]uint64, len(stages)*ls)
-	var signed atomic.Int64
-	engine.ParallelChunks(len(stages), ix.workers, func(lo, hi int) {
+	n := len(stages)
+	tasks := min(ix.workers, n)
+	engine.ParallelTasks(tasks, tasks, func(_, t int) {
 		sig := make([]uint64, cfg.K*cfg.L)
-		n := 0
+		lo, hi, signed := t*n/tasks, (t+1)*n/tasks, 0
 		for i := lo; i < hi; i++ {
-			n += ix.signer.BandKeys(&stages[i], ix.tableSubset, sig, keys[i*ls:], 1)
+			signed += ix.signer.BandKeys(&stages[i], ix.tableSubset, sig, keys[i*ls:], 1)
 		}
-		signed.Add(int64(n))
+		ix.log.bandsSigned.Add(int64(signed))
+		ix.log.bandsSkipped.Add(int64((hi-lo)*ls - signed))
 	})
-	ix.log.bandsSigned.Add(signed.Load())
-	ix.log.bandsSkipped.Add(int64(len(keys)) - signed.Load())
 	return keys
 }
 
